@@ -9,7 +9,6 @@ or domain error, 3 I/O error.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -275,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="c4lab",
         description="Projective planes, polarity graphs, and exact 4-cycle counts.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("C4LAB_THREADS", "1")),
-        help="cap for library worker pools; results are identical for any value",
-    )
     top = parser.add_subparsers(dest="command", required=True)
 
     def leaf(group, name, fn, **kwargs):
@@ -376,9 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = top.add_parser("verify", help="run the release gate")
     ver_sub = ver.add_subparsers(dest="action", required=True)
     sp = leaf(ver_sub, "all", _cmd_verify_all, help="all twelve criteria")
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true", help="default scan sizes")
-    mode.add_argument("--full", action="store_true", help="extended q scans")
+    sp.add_argument("--full", action="store_true", help="extended q scans")
     sp.add_argument("--criterion", type=int, help="run a single criterion by number")
 
     return parser
@@ -396,8 +387,6 @@ def _config_of(args) -> dict:
 def cli_dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     cfg = _config_of(args)
     try:
         code, payload, summary = args.func(args)

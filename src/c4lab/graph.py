@@ -1,7 +1,8 @@
 """Simple graphs in CSR form, exact four-cycle counting, and pair statistics.
 
-The fast counting path computes codegrees blockwise with exact integer sparse
-products; the independent brute-force oracle enumerates vertex quadruples on a
+The fast counting path computes codegrees blockwise by enumerating wedges
+u -> w -> x over the CSR arrays and counting their endpoints in exact
+integers; the independent brute-force oracle enumerates vertex quadruples on a
 dense boolean matrix.  Both count the number of distinct 4-cycle subgraphs.
 """
 
@@ -11,12 +12,15 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from c4lab._scan import codegree_moments
 from c4lab.plane import IncidenceStructure, is_one_intersecting
 
-MAX_COUNT_N = 1 << 17  # with degrees <= 2^10 the choose-2 sums stay below 2^47
+# Overflow certificate for the int64 bincount counts and block sums behind the
+# exact counts: a vertex u starts at most d^2 wedges, so sum_x codeg(u, x) <= d^2
+# and sum_x codeg(u, x)^2 <= d^3.  With n <= 2^17 and d <= 2^10 every wedge
+# total stays below 2^37, every sum of squared codegrees below 2^47 and every
+# choose-2 sum below 2^46, far from 2^63.
+MAX_COUNT_N = 1 << 17
 MAX_COUNT_DEGREE = 1 << 10
 MAX_BRUTEFORCE_N = 64
 CYCLE_LIST_CAP = 10**6
@@ -47,12 +51,6 @@ class Graph:
         rows = np.repeat(np.arange(self.n, dtype=np.int32), self.degrees())
         mask = rows < self.indices
         return np.column_stack([rows[mask], self.indices[mask]])
-
-    def to_scipy(self) -> sp.csr_matrix:
-        data = np.ones(len(self.indices), dtype=np.int32)
-        return sp.csr_matrix(
-            (data, self.indices, self.indptr), shape=(self.n, self.n)
-        )
 
     def add_edges(self, new_edges) -> "Graph":
         """A new graph with the given edges added (duplicates rejected)."""
@@ -112,6 +110,94 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(n, indptr, tails[order].astype(np.int32))
 
 
+# ---------------------------------------------------------------------------
+# wedge enumeration: the one primitive behind every exact pair scan
+
+# bound on the dense codegree entries of one block and on the wedges behind it
+_BLOCK_SIZE = 1 << 21
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + k) over the pairs (s, k)."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _wedges(ptr, idx, back_ptr, back_idx, rows: np.ndarray):
+    """Every wedge s -> w -> x from the source rows, in row-major order.
+
+    w runs over row s of (ptr, idx) and x over row w of (back_ptr, back_idx):
+    for a simple graph both are its CSR, for an incidence structure one is
+    the transpose of the other.  Returns arrays (i, w, x) with s = rows[i].
+    """
+    n_mid = ptr[rows + 1] - ptr[rows]
+    mids = idx[_ranges(ptr[rows], n_mid)]
+    n_end = back_ptr[mids + 1] - back_ptr[mids]
+    ends = back_idx[_ranges(back_ptr[mids], n_end)]
+    src = np.repeat(np.repeat(np.arange(len(rows)), n_mid), n_end)
+    return src, np.repeat(mids, n_end), ends
+
+
+def _codegree_blocks(ptr, idx, back_ptr, back_idx, n_cols: int, rows: np.ndarray):
+    """Yield (start, block), block[i, x] = number of wedges rows[start + i] -> w -> x.
+
+    Each block is a dense int64 array over the next slice of ``rows``, with
+    at most _BLOCK_SIZE entries built from at most _BLOCK_SIZE wedges (a
+    single row may exceed the wedge bound).  Counts are exact for any block
+    size.
+    """
+    through = np.concatenate([[0], np.cumsum(np.diff(back_ptr)[idx])])
+    reach = np.cumsum(through[ptr[rows + 1]] - through[ptr[rows]])
+    max_rows = max(1, _BLOCK_SIZE // max(1, n_cols))
+    start = 0
+    while start < len(rows):
+        done = int(reach[start - 1]) if start else 0
+        stop = int(np.searchsorted(reach, done + _BLOCK_SIZE, side="right"))
+        stop = min(max(stop, start + 1), start + max_rows)
+        src, _, ends = _wedges(ptr, idx, back_ptr, back_idx, rows[start:stop])
+        block = np.bincount(src * n_cols + ends, minlength=(stop - start) * n_cols)
+        yield start, block.reshape(stop - start, n_cols)
+        start = stop
+
+
+def _pair_moments(g: Graph, subset: np.ndarray | None = None):
+    """Exact codegree statistics over unordered pairs u < v.
+
+    Pairs range over ``subset`` when given (sorted, distinct), while common
+    neighbours always range over all vertices.  Returns (sum of
+    C(codegree, 2), number of pairs with codegree >= 1, per-vertex count of
+    partners v != u with codegree >= 1).
+    """
+    rows = np.arange(g.n) if subset is None else subset
+    sum_choose2 = covered_pairs = 0
+    covered_with = np.zeros(len(rows), dtype=np.int64)
+    for start, block in _codegree_blocks(
+        g.indptr, g.indices, g.indptr, g.indices, g.n, rows
+    ):
+        if subset is not None:
+            block = block[:, subset]
+        k = np.arange(len(block))
+        nonzero = np.count_nonzero(block, axis=1)
+        covered_with[start : start + len(k)] = nonzero - (block[k, start + k] > 0)
+        upper = np.triu(block, start + 1)
+        # sum of C(c, 2) = (sum of c^2 - sum of c) / 2
+        sum_choose2 += (int(np.vdot(upper, upper)) - int(upper.sum())) // 2
+        covered_pairs += int(np.count_nonzero(upper))
+    return sum_choose2, covered_pairs, covered_with
+
+
+def _has_c4(g: Graph) -> bool:
+    """Whether two distinct vertices have two common neighbours; stops at the first."""
+    for start, block in _codegree_blocks(
+        g.indptr, g.indices, g.indptr, g.indices, g.n, np.arange(g.n)
+    ):
+        k = np.arange(len(block))
+        block[k, start + k] = 0
+        if block.max(initial=0) >= 2:
+            return True
+    return False
+
+
 def codegree(g: Graph, u: int, v: int) -> int:
     """Number of common neighbours of two distinct vertices (sorted merge)."""
     if u == v:
@@ -134,15 +220,16 @@ def _check_counting_limits(g: Graph) -> None:
 def count_c4(g: Graph) -> int:
     """Exact number of 4-cycle subgraphs: half the sum of C(codegree, 2) over pairs."""
     _check_counting_limits(g)
-    total = codegree_moments(g.to_scipy())["sum_choose2"]
-    assert total % 2 == 0, "codegree choose-2 mass must be even"
+    total = _pair_moments(g)[0]
+    if total % 2:
+        raise AssertionError(f"codegree choose-2 mass {total} must be even")
     return total // 2
 
 
 def is_c4_free(g: Graph) -> bool:
     """Max codegree <= 1, equivalently count_c4(g) == 0."""
     _check_counting_limits(g)
-    return codegree_moments(g.to_scipy())["sum_choose2"] == 0
+    return not _has_c4(g)
 
 
 def count_c4_bruteforce(g: Graph) -> int:
@@ -175,24 +262,12 @@ def c4_through_edge(g: Graph, u: int, v: int):
     """
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
-    nu = g.neighbors(u)
-    count = 0
-    cycles: list[tuple[int, int, int, int]] | None = []
-    for x in g.neighbors(v):
-        x = int(x)
-        if x == u:
-            continue
-        common = np.intersect1d(g.neighbors(x), nu, assume_unique=True)
-        for y in common:
-            y = int(y)
-            if y == v or y == x:
-                continue
-            count += 1
-            if cycles is not None:
-                cycles.append((u, v, x, y))
-                if count > CYCLE_LIST_CAP:
-                    cycles = None
-    return count, cycles
+    _, xs, ys = _wedges(g.indptr, g.indices, g.indptr, g.indices, np.array([v]))
+    keep = (xs != u) & (ys != v) & np.isin(ys, g.neighbors(u))
+    count = int(np.count_nonzero(keep))
+    if count > CYCLE_LIST_CAP:
+        return count, None
+    return count, [(u, v, x, y) for x, y in zip(xs[keep].tolist(), ys[keep].tolist())]
 
 
 def up_p2_stats(g: Graph) -> dict:
@@ -204,14 +279,14 @@ def up_p2_stats(g: Graph) -> dict:
     _check_counting_limits(g)
     degs = g.degrees().astype(np.int64)
     p2 = int(np.sum(degs * (degs - 1) // 2))
-    moments = codegree_moments(g.to_scipy())
+    sum_choose2, covered_pairs, _ = _pair_moments(g)
     n_pairs = g.n * (g.n - 1) // 2
     return {
         "p2": p2,
-        "up": n_pairs - moments["covered_pairs"],
-        "covered_pairs": moments["covered_pairs"],
+        "up": n_pairs - covered_pairs,
+        "covered_pairs": covered_pairs,
         "n_pairs": n_pairs,
-        "sum_codegree_choose2": moments["sum_choose2"],
+        "sum_codegree_choose2": sum_choose2,
     }
 
 
@@ -242,9 +317,9 @@ def graph_stats(g: Graph, q: int) -> GraphStats:
     hist_vals = np.bincount(degs) if g.n else np.zeros(0, dtype=np.int64)
     histogram = {int(d): int(c) for d, c in enumerate(hist_vals) if c}
     f_values = np.maximum(q + 1 - degs, 0)
-    moments = codegree_moments(g.to_scipy())
+    _, covered_pairs, covered_with = _pair_moments(g)
     n_pairs = g.n * (g.n - 1) // 2
-    d0 = (g.n - 1) - moments["covered_with"]
+    d0 = (g.n - 1) - covered_with
     return GraphStats(
         n=g.n,
         m=g.m,
@@ -255,7 +330,7 @@ def graph_stats(g: Graph, q: int) -> GraphStats:
         f_values=f_values,
         f_total=int(f_values.sum()),
         p2=int(np.sum(degs * (degs - 1) // 2)),
-        up=n_pairs - moments["covered_pairs"],
+        up=n_pairs - covered_pairs,
         d0=d0,
     )
 
@@ -276,10 +351,7 @@ def claim_c4_inequality(g: Graph, a_set) -> dict:
     nbrs_in_a = np.bincount(rows[in_a[g.indices]], minlength=g.n).astype(np.int64)
     p2_a = int(np.sum(nbrs_in_a * (nbrs_in_a - 1) // 2))
     pairs_a = len(a) * (len(a) - 1) // 2
-    covered_a = (
-        codegree_moments(g.to_scipy(), subset=a)["covered_pairs"] if len(a) else 0
-    )
-    up_a = pairs_a - covered_a
+    up_a = pairs_a - _pair_moments(g, subset=a)[1]
     lhs = 2 * count_c4(g)
     rhs = p2_a + up_a - pairs_a
     return {

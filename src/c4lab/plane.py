@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from c4lab._scan import product_offdiag_audit
 from c4lab.field import FieldSpec
 
 
@@ -90,14 +88,6 @@ class IncidenceStructure:
     def dual(self) -> "IncidenceStructure":
         ptr, idx = self._transpose()
         return IncidenceStructure._from_csr(self.n_lines, ptr.copy(), idx.copy())
-
-    def to_line_point_matrix(self) -> sp.csr_matrix:
-        """Sparse 0/1 matrix with one row per line, one column per point."""
-        data = np.ones(len(self.line_idx), dtype=np.int32)
-        return sp.csr_matrix(
-            (data, self.line_idx, self.line_ptr),
-            shape=(self.n_lines, self.n_points),
-        )
 
     def line_set(self) -> set[frozenset]:
         return {frozenset(int(p) for p in self.line(i)) for i in range(self.n_lines)}
@@ -244,6 +234,26 @@ def _infer_order(n: int) -> int | None:
     return (s - 1) // 2
 
 
+def _one_meet_audit(ptr, idx, back_ptr, back_idx, n: int):
+    """Check that every two of the n rows of a CSR share exactly one column.
+
+    (back_ptr, back_idx) is the transpose of (ptr, idx), so rows i and j
+    share as many columns as there are wedges i -> column -> j.  Returns
+    ``(True, None)`` or ``(False, (i, j, count))`` for the first violating
+    pair in row-major order (count 0 marks a missing pair).
+    """
+    from c4lab.graph import _codegree_blocks  # graph imports this module
+
+    for start, block in _codegree_blocks(ptr, idx, back_ptr, back_idx, n, np.arange(n)):
+        k = np.arange(len(block))
+        block[k, start + k] = 1
+        wrong = np.flatnonzero(block != 1)
+        if len(wrong):
+            i, j = divmod(int(wrong[0]), n)
+            return False, (start + i, j, int(block[i, j]))
+    return True, None
+
+
 def verify_projective_plane(s: IncidenceStructure) -> PlaneVerdict:
     """Run the plane axioms in a fixed order, stopping at the first failure.
 
@@ -282,8 +292,8 @@ def verify_projective_plane(s: IncidenceStructure) -> PlaneVerdict:
             witness=(p, int(degs[p])),
             detail=f"point {p} lies on {int(degs[p])} lines, expected {q + 1}",
         )
-    mat = s.to_line_point_matrix()
-    ok, witness = product_offdiag_audit(mat)
+    lines, points = (s.line_ptr, s.line_idx), s._transpose()
+    ok, witness = _one_meet_audit(*lines, *points, L)
     if not ok:
         i, j, count = witness
         return PlaneVerdict(
@@ -293,7 +303,7 @@ def verify_projective_plane(s: IncidenceStructure) -> PlaneVerdict:
             witness=(i, j, count),
             detail=f"lines {i} and {j} share {count} points, expected 1",
         )
-    ok, witness = product_offdiag_audit(mat.T.tocsr())
+    ok, witness = _one_meet_audit(*points, *lines, n)
     if not ok:
         u, v, count = witness
         return PlaneVerdict(
@@ -315,8 +325,7 @@ def is_one_intersecting(s: IncidenceStructure) -> tuple[bool, tuple | None]:
     L = s.n_lines
     if L < 2:
         return True, None
-    ok, witness = product_offdiag_audit(s.to_line_point_matrix())
-    return (True, None) if ok else (False, witness)
+    return _one_meet_audit(s.line_ptr, s.line_idx, *s._transpose(), L)
 
 
 # ---------------------------------------------------------------------------

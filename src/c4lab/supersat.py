@@ -102,8 +102,22 @@ class ExperimentReport:
 
 @lru_cache(maxsize=8)
 def er_graph(q: int) -> PolarityGraph:
-    """Cached orthogonal polarity graph of order q (treated as immutable)."""
-    return polarity_graph(orthogonal_polarity(spec_for_order(q)))
+    """Cached orthogonal polarity graph of order q.
+
+    Every caller shares the result, so its arrays are made read-only.
+    """
+    pg = polarity_graph(orthogonal_polarity(spec_for_order(q)))
+    plane = pg.polarity.plane
+    for arr in (
+        pg.graph.indptr,
+        pg.graph.indices,
+        pg.absolute_points,
+        pg.polarity.sigma,
+        plane.line_ptr,
+        plane.line_idx,
+    ):
+        arr.flags.writeable = False
+    return pg
 
 
 def _rng(seed: int, trial: int) -> np.random.Generator:

@@ -202,18 +202,6 @@ class TestDispatch:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_threads_flag_is_neutral(self, capsys):
-        base = run_json(capsys, "turan", "brute", "--n", "6")[1]
-        alt = run_json(capsys, "--threads", "4", "turan", "brute", "--n", "6")[1]
-        base["config"].pop("threads"), alt["config"].pop("threads")
-        assert base == alt
-
-    def test_threads_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli_dispatch(["--threads", "0", "turan", "brute", "--n", "4"])
-        assert exc.value.code == 2
-        capsys.readouterr()
-
     def test_verify_single_criterion(self, capsys):
         code, out, err = run(capsys, "verify", "all", "--criterion", "10")
         assert code == 0

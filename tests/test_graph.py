@@ -1,8 +1,16 @@
 """Graph construction, four-cycle counting (both routes), and pair statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import c4lab.graph
+from c4lab.field import spec_for_order
+from c4lab.plane import IncidenceStructure, build_pg2, is_one_intersecting
 from c4lab.graph import (
     Graph,
     c4_through_edge,
@@ -43,6 +51,50 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         if rng.random() < p
     ]
     return from_edges(n, edges)
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports c4lab from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_loads_no_scipy():
+    result = run_python(
+        "-c",
+        "import sys, c4lab; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_scans_do_not_depend_on_block_size(monkeypatch):
+    g = random_graph(30, 0.3, 5)
+    plane = build_pg2(spec_for_order(4))
+    # a foreign fifth-order line: some pairs now meet twice, some not at all
+    family = IncidenceStructure(21, plane.lines()[1:] + [[0, 1, 2, 3, 4]])
+
+    def scans():
+        stats = graph_stats(g, 3)
+        return (
+            count_c4(g),
+            is_c4_free(g),
+            up_p2_stats(g),
+            stats.d0.tolist(),
+            claim_c4_inequality(g, range(0, 30, 2)),
+            is_one_intersecting(family),
+            is_one_intersecting(family.dual()),
+        )
+
+    expected = scans()
+    assert expected[5][0] is False and expected[6][0] is False
+    # blocks of one or two rows
+    monkeypatch.setattr(c4lab.graph, "_BLOCK_SIZE", 40)
+    assert scans() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +205,18 @@ class TestCountC4:
         with pytest.raises(ValueError, match="certified"):
             count_c4(from_edges((1 << 17) + 1, []))
 
+    def test_parity_invariant_survives_optimize(self):
+        # a hand-built asymmetric CSR: 0 -> {2, 3} and 2, 3 -> {1}, so the
+        # pair (0, 1) has codegree 2 in one direction only
+        result = run_python(
+            "-O",
+            "-c",
+            "import numpy as np; from c4lab.graph import Graph, count_c4; "
+            "count_c4(Graph(4, np.array([0, 2, 2, 3, 4]), np.array([2, 3, 1, 1])))",
+        )
+        assert result.returncode != 0
+        assert "AssertionError: codegree choose-2 mass 1 must be even" in result.stderr
+
     def test_fast_route_degree_limit(self):
         hub = (1 << 10) + 1
         g = from_edges(hub + 1, [(hub, i) for i in range(hub)])
@@ -195,6 +259,24 @@ class TestC4ThroughEdge:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError, match="not an edge"):
             c4_through_edge(petersen(), 0, 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 17))
+        g = random_graph(n, float(rng.uniform(0.2, 0.8)), 100 + seed)
+        adj = np.zeros((n, n), dtype=bool)
+        e = g.edges()
+        adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = True
+        for a, b in e.tolist():
+            for u, v in ((a, b), (b, a)):
+                expected = [
+                    (u, v, x, y)
+                    for x in range(n)
+                    for y in range(n)
+                    if len({u, v, x, y}) == 4 and adj[v, x] and adj[x, y] and adj[y, u]
+                ]
+                assert c4_through_edge(g, u, v) == (len(expected), expected)
 
 
 # ---------------------------------------------------------------------------

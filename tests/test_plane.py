@@ -6,6 +6,7 @@ import pytest
 from c4lab.field import FieldSpec
 from c4lab.plane import (
     IncidenceStructure,
+    _one_meet_audit,
     build_pg2,
     verify_projective_plane,
     is_one_intersecting,
@@ -110,6 +111,52 @@ def test_is_one_intersecting_verdicts():
     double = IncidenceStructure(6, [[0, 1, 2], [0, 1, 3], [2, 3, 4]])
     ok, witness = is_one_intersecting(double)
     assert not ok and witness == (0, 1, 2)
+
+
+def _first_bad_pair(inc: np.ndarray):
+    """First off-diagonal entry of inc @ inc.T that is not 1, from the dense product."""
+    meet = inc @ inc.T
+    np.fill_diagonal(meet, 1)
+    bad = np.argwhere(meet != 1)
+    if not len(bad):
+        return None
+    i, j = map(int, bad[0])
+    return (i, j, int(meet[i, j]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_audit_witnesses_match_dense_products(q):
+    rng = np.random.default_rng(q)
+    plane = build_pg2(FIELDS[q])
+    n = plane.n_points
+    for swaps in range(1, 5):
+        lines = [set(map(int, ln)) for ln in plane.lines()]
+        # trade points between two lines: sizes and point degrees stay q + 1
+        for _ in range(swaps):
+            a, b = rng.choice(n, 2, replace=False)
+            pa = int(rng.choice(sorted(lines[a] - lines[b])))
+            pb = int(rng.choice(sorted(lines[b] - lines[a])))
+            lines[a] = (lines[a] - {pa}) | {pb}
+            lines[b] = (lines[b] - {pb}) | {pa}
+        s = IncidenceStructure(n, [sorted(ln) for ln in lines])
+        inc = np.zeros((n, n), dtype=np.int64)
+        for i, ln in enumerate(s.lines()):
+            inc[i, ln] = 1
+        line_ref = _first_bad_pair(inc)
+        verdict = verify_projective_plane(s)
+        assert verdict.axiom == "line-intersections"
+        assert verdict.witness == line_ref
+        assert is_one_intersecting(s) == (False, line_ref)
+        # the pair-coverage audit; verify_projective_plane never reaches it
+        # here, since intersecting lines already force a plane
+        assert _one_meet_audit(*s._transpose(), s.line_ptr, s.line_idx, n) == (
+            False,
+            _first_bad_pair(inc.T),
+        )
+        keep = np.sort(rng.choice(n, size=max(2, n // 3), replace=False))
+        sub = IncidenceStructure(n, [s.line(int(i)) for i in keep])
+        sub_ref = _first_bad_pair(inc[keep])
+        assert is_one_intersecting(sub) == (sub_ref is None, sub_ref)
 
 
 def test_extend_reconstructs_fano_from_any_dropped_line():

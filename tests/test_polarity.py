@@ -35,7 +35,10 @@ class TestVerifyPolarity:
         verdict = verify_polarity(Polarity(pi.plane, sigma))
         assert not verdict.ok
         i, j = verdict.witness
-        m = Polarity(pi.plane, sigma).paired_matrix().toarray()
+        lines = pi.plane.lines()
+        m = np.zeros((pi.plane.n_points, pi.plane.n_points), dtype=np.int8)
+        for row, line in enumerate(sigma):
+            m[row, lines[line]] = 1
         assert m[i, j] != m[j, i]
         # row-major first: nothing asymmetric strictly before (i, j)
         asym = np.argwhere(m != m.T)

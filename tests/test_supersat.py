@@ -34,6 +34,21 @@ def nonedges(pg, rng, k):
     return out
 
 
+def test_cached_er_graph_arrays_are_read_only():
+    pg = er_graph(4)
+    plane = pg.polarity.plane
+    for arr in (
+        pg.graph.indptr,
+        pg.graph.indices,
+        pg.absolute_points,
+        pg.polarity.sigma,
+        plane.line_ptr,
+        plane.line_idx,
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
 class TestExperimentReport:
     def test_json_roundtrip_ignores_timing(self):
         r = matching_experiment(8, 2)
