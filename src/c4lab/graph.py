@@ -1,9 +1,10 @@
 """Simple graphs in CSR form, exact four-cycle counting, and pair statistics.
 
 The fast counting path computes codegrees blockwise by enumerating wedges
-u -> w -> x over the CSR arrays and counting their endpoints in exact
-integers; the independent brute-force oracle enumerates vertex quadruples on a
-dense boolean matrix.  Both count the number of distinct 4-cycle subgraphs.
+u -> w -> x over the CSR arrays (the kernel in ``c4lab.plane``) and counting
+their endpoints in exact integers; the independent brute-force oracle
+enumerates vertex quadruples on a dense boolean matrix.  Both count the
+number of distinct 4-cycle subgraphs.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from c4lab.plane import IncidenceStructure, is_one_intersecting
+from c4lab.plane import IncidenceStructure, _codegree_blocks, _ranges
+from c4lab.plane import is_one_intersecting
 
-# Overflow certificate for the int64 bincount counts and block sums behind the
-# exact counts: a vertex u starts at most d^2 wedges, so sum_x codeg(u, x) <= d^2
-# and sum_x codeg(u, x)^2 <= d^3.  With n <= 2^17 and d <= 2^10 every wedge
-# total stays below 2^37, every sum of squared codegrees below 2^47 and every
-# choose-2 sum below 2^46, far from 2^63.
+# Overflow certificate for the int64 pair codes, wedge counts and block sums
+# behind the exact counts: a vertex u starts at most d^2 wedges, so
+# sum_x codeg(u, x) <= d^2 and sum_x codeg(u, x)^2 <= d^3.  With n <= 2^17 and
+# d <= 2^10 every pair code i*n + x stays below 2^34, every wedge total below
+# 2^37, every sum of squared codegrees below 2^47 and every choose-2 sum below
+# 2^46, far from 2^63.
 MAX_COUNT_N = 1 << 17
 MAX_COUNT_DEGREE = 1 << 10
 MAX_BRUTEFORCE_N = 64
@@ -110,56 +113,6 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(n, indptr, tails[order].astype(np.int32))
 
 
-# ---------------------------------------------------------------------------
-# wedge enumeration: the one primitive behind every exact pair scan
-
-# bound on the dense codegree entries of one block and on the wedges behind it
-_BLOCK_SIZE = 1 << 21
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(s, s + k) over the pairs (s, k)."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-
-
-def _wedges(ptr, idx, back_ptr, back_idx, rows: np.ndarray):
-    """Every wedge s -> w -> x from the source rows, in row-major order.
-
-    w runs over row s of (ptr, idx) and x over row w of (back_ptr, back_idx):
-    for a simple graph both are its CSR, for an incidence structure one is
-    the transpose of the other.  Returns arrays (i, w, x) with s = rows[i].
-    """
-    n_mid = ptr[rows + 1] - ptr[rows]
-    mids = idx[_ranges(ptr[rows], n_mid)]
-    n_end = back_ptr[mids + 1] - back_ptr[mids]
-    ends = back_idx[_ranges(back_ptr[mids], n_end)]
-    src = np.repeat(np.repeat(np.arange(len(rows)), n_mid), n_end)
-    return src, np.repeat(mids, n_end), ends
-
-
-def _codegree_blocks(ptr, idx, back_ptr, back_idx, n_cols: int, rows: np.ndarray):
-    """Yield (start, block), block[i, x] = number of wedges rows[start + i] -> w -> x.
-
-    Each block is a dense int64 array over the next slice of ``rows``, with
-    at most _BLOCK_SIZE entries built from at most _BLOCK_SIZE wedges (a
-    single row may exceed the wedge bound).  Counts are exact for any block
-    size.
-    """
-    through = np.concatenate([[0], np.cumsum(np.diff(back_ptr)[idx])])
-    reach = np.cumsum(through[ptr[rows + 1]] - through[ptr[rows]])
-    max_rows = max(1, _BLOCK_SIZE // max(1, n_cols))
-    start = 0
-    while start < len(rows):
-        done = int(reach[start - 1]) if start else 0
-        stop = int(np.searchsorted(reach, done + _BLOCK_SIZE, side="right"))
-        stop = min(max(stop, start + 1), start + max_rows)
-        src, _, ends = _wedges(ptr, idx, back_ptr, back_idx, rows[start:stop])
-        block = np.bincount(src * n_cols + ends, minlength=(stop - start) * n_cols)
-        yield start, block.reshape(stop - start, n_cols)
-        start = stop
-
-
 def _pair_moments(g: Graph, subset: np.ndarray | None = None):
     """Exact codegree statistics over unordered pairs u < v.
 
@@ -169,33 +122,29 @@ def _pair_moments(g: Graph, subset: np.ndarray | None = None):
     partners v != u with codegree >= 1).
     """
     rows = np.arange(g.n) if subset is None else subset
+    if subset is not None:
+        position = np.full(g.n, -1, dtype=np.int64)
+        position[subset] = np.arange(len(subset))
     sum_choose2 = covered_pairs = 0
     covered_with = np.zeros(len(rows), dtype=np.int64)
-    for start, block in _codegree_blocks(
-        g.indptr, g.indices, g.indptr, g.indices, g.n, rows
-    ):
+    blocks = _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices, rows)
+    for _, _, i, x, c in blocks:
         if subset is not None:
-            block = block[:, subset]
-        k = np.arange(len(block))
-        nonzero = np.count_nonzero(block, axis=1)
-        covered_with[start : start + len(k)] = nonzero - (block[k, start + k] > 0)
-        upper = np.triu(block, start + 1)
-        # sum of C(c, 2) = (sum of c^2 - sum of c) / 2
-        sum_choose2 += (int(np.vdot(upper, upper)) - int(upper.sum())) // 2
-        covered_pairs += int(np.count_nonzero(upper))
+            # keep the partners inside the subset, numbered by position
+            x = position[x]
+            inside = x >= 0
+            i, x, c = i[inside], x[inside], c[inside]
+        covered_with += np.bincount(i, minlength=len(rows))
+        covered_with += np.bincount(x, minlength=len(rows))
+        sum_choose2 += int(np.sum(c * (c - 1))) // 2
+        covered_pairs += len(c)
     return sum_choose2, covered_pairs, covered_with
 
 
 def _has_c4(g: Graph) -> bool:
     """Whether two distinct vertices have two common neighbours; stops at the first."""
-    for start, block in _codegree_blocks(
-        g.indptr, g.indices, g.indptr, g.indices, g.n, np.arange(g.n)
-    ):
-        k = np.arange(len(block))
-        block[k, start + k] = 0
-        if block.max(initial=0) >= 2:
-            return True
-    return False
+    blocks = _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices, np.arange(g.n))
+    return any(c.max(initial=0) >= 2 for *_, c in blocks)
 
 
 def codegree(g: Graph, u: int, v: int) -> int:
@@ -262,8 +211,12 @@ def c4_through_edge(g: Graph, u: int, v: int):
     """
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
-    _, xs, ys = _wedges(g.indptr, g.indices, g.indptr, g.indices, np.array([v]))
-    keep = (xs != u) & (ys != v) & np.isin(ys, g.neighbors(u))
+    xs = g.neighbors(v)
+    xs = xs[xs != u]
+    n_end = g.indptr[xs + 1] - g.indptr[xs]
+    ys = g.indices[_ranges(g.indptr[xs], n_end)]
+    xs = np.repeat(xs, n_end)
+    keep = (ys != v) & np.isin(ys, g.neighbors(u))
     count = int(np.count_nonzero(keep))
     if count > CYCLE_LIST_CAP:
         return count, None

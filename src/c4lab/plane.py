@@ -214,6 +214,71 @@ def build_pg2(spec: FieldSpec) -> ProjectivePlane:
 
 
 # ---------------------------------------------------------------------------
+# wedge enumeration: the one primitive behind every exact pair scan
+
+# bound on the wedges of one block and on the entries of a dense block
+_BLOCK_SIZE = 1 << 19
+# a block is reduced by sorting its wedge codes, not by a dense bincount, when
+# it has fewer than 1/_SPARSE_RATIO as many wedges as dense entries
+_SPARSE_RATIO = 16
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + k) over the pairs (s, k)."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _codegree_blocks(ptr, idx, back_ptr, back_idx, rows: np.ndarray):
+    """Yield (lo, hi, i, x, c) covering the sorted source rows[lo:hi] in turn.
+
+    A wedge s -> w -> x takes w from row s of (ptr, idx) and x from row w of
+    (back_ptr, back_idx), both with sorted rows: for a simple graph both are
+    its CSR, for an incidence structure one is the transpose of the other.
+    Sources and ends are then alike, the codegree matrix is symmetric, and
+    only its upper triangle is listed: each pair (rows[i], x) with x > rows[i]
+    and c >= 1 wedges rows[i] -> w -> x, once, in row-major order.  A block
+    holds at most _BLOCK_SIZE wedges (a single row may exceed this).  Its
+    wedge ends are counted by a dense bincount of at most _BLOCK_SIZE
+    entries, or by sorting when they are much fewer than its dense entries.
+    """
+    n_cols = len(ptr) - 1
+    # the ends x > s of row w follow s in the sorted keys w * n_cols + x
+    keys = np.repeat(np.arange(len(back_ptr) - 1), np.diff(back_ptr)) * n_cols
+    keys += back_idx
+    through = np.concatenate([[0], np.cumsum(np.diff(back_ptr)[idx])])
+    per_row = through[ptr[rows + 1]] - through[ptr[rows]]
+    reach = np.concatenate([[0], np.cumsum(per_row)])
+    max_rows = max(1, _BLOCK_SIZE // max(1, n_cols))
+    lo = 0
+    while lo < len(rows):
+        # bound the block by all its wedges, upper or not
+        hi = int(np.searchsorted(reach, reach[lo] + _BLOCK_SIZE, side="right")) - 1
+        hi = max(hi, lo + 1)
+        sparse = int(reach[hi] - reach[lo]) * _SPARSE_RATIO < (hi - lo) * n_cols
+        if not sparse:
+            hi = min(hi, lo + max_rows)
+        sources = rows[lo:hi]
+        n_mid = ptr[sources + 1] - ptr[sources]
+        mids = idx[_ranges(ptr[sources], n_mid)].astype(np.int64)
+        own_keys = mids * n_cols + np.repeat(sources, n_mid)
+        first = np.searchsorted(keys, own_keys, side="right")
+        n_end = back_ptr[mids + 1] - first
+        ends = back_idx[_ranges(first, n_end)]
+        src = np.repeat(np.repeat(np.arange(hi - lo), n_mid), n_end)
+        codes = src * n_cols + ends
+        if sparse:
+            codes, counts = np.unique(codes, return_counts=True)
+        else:
+            counts = np.bincount(codes, minlength=(hi - lo) * n_cols)
+            codes = np.flatnonzero(counts)
+            counts = counts[codes]
+        i, x = np.divmod(codes, n_cols)
+        yield lo, hi, i + lo, x, counts
+        lo = hi
+
+
+# ---------------------------------------------------------------------------
 # verification
 
 
@@ -234,23 +299,35 @@ def _infer_order(n: int) -> int | None:
     return (s - 1) // 2
 
 
-def _one_meet_audit(ptr, idx, back_ptr, back_idx, n: int):
-    """Check that every two of the n rows of a CSR share exactly one column.
+def _one_meet_audit(ptr, idx, back_ptr, back_idx):
+    """Check that every two rows of a CSR share exactly one column.
 
     (back_ptr, back_idx) is the transpose of (ptr, idx), so rows i and j
     share as many columns as there are wedges i -> column -> j.  Returns
     ``(True, None)`` or ``(False, (i, j, count))`` for the first violating
-    pair in row-major order (count 0 marks a missing pair).
+    pair in row-major order (count 0 marks a missing pair).  By symmetry
+    that pair has i < j.
     """
-    from c4lab.graph import _codegree_blocks  # graph imports this module
-
-    for start, block in _codegree_blocks(ptr, idx, back_ptr, back_idx, n, np.arange(n)):
-        k = np.arange(len(block))
-        block[k, start + k] = 1
-        wrong = np.flatnonzero(block != 1)
-        if len(wrong):
-            i, j = divmod(int(wrong[0]), n)
-            return False, (start + i, j, int(block[i, j]))
+    n = len(ptr) - 1
+    for lo, hi, i, x, c in _codegree_blocks(ptr, idx, back_ptr, back_idx, np.arange(n)):
+        left = n - 1 - np.arange(lo, hi)  # the pairs (r, j > r) of each row
+        if len(c) == left.sum() and c.max(initial=1) == 1:
+            continue
+        found = []
+        heavy = np.flatnonzero(c != 1)
+        if len(heavy):
+            k = heavy[0]
+            found.append((int(i[k]), int(x[k]), int(c[k])))
+        met = np.bincount(i - lo, minlength=hi - lo)
+        short = np.flatnonzero(met < left)
+        if len(short):
+            r = lo + int(short[0])
+            seen = np.zeros(n - r, dtype=bool)
+            seen[0] = True
+            seen[x[i == r] - r] = True
+            found.append((r, r + int(np.argmin(seen)), 0))
+        if found:
+            return False, min(found)
     return True, None
 
 
@@ -293,7 +370,7 @@ def verify_projective_plane(s: IncidenceStructure) -> PlaneVerdict:
             detail=f"point {p} lies on {int(degs[p])} lines, expected {q + 1}",
         )
     lines, points = (s.line_ptr, s.line_idx), s._transpose()
-    ok, witness = _one_meet_audit(*lines, *points, L)
+    ok, witness = _one_meet_audit(*lines, *points)
     if not ok:
         i, j, count = witness
         return PlaneVerdict(
@@ -303,7 +380,7 @@ def verify_projective_plane(s: IncidenceStructure) -> PlaneVerdict:
             witness=(i, j, count),
             detail=f"lines {i} and {j} share {count} points, expected 1",
         )
-    ok, witness = _one_meet_audit(*points, *lines, n)
+    ok, witness = _one_meet_audit(*points, *lines)
     if not ok:
         u, v, count = witness
         return PlaneVerdict(
@@ -325,7 +402,7 @@ def is_one_intersecting(s: IncidenceStructure) -> tuple[bool, tuple | None]:
     L = s.n_lines
     if L < 2:
         return True, None
-    return _one_meet_audit(s.line_ptr, s.line_idx, *s._transpose(), L)
+    return _one_meet_audit(s.line_ptr, s.line_idx, *s._transpose())
 
 
 # ---------------------------------------------------------------------------

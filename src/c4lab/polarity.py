@@ -15,8 +15,8 @@ from math import isqrt
 import numpy as np
 
 from c4lab.field import FieldSpec, spec_for_order
-from c4lab.graph import Graph, _has_c4, _ranges, from_edges
-from c4lab.plane import ProjectivePlane, build_pg2
+from c4lab.graph import Graph, _has_c4, from_edges
+from c4lab.plane import ProjectivePlane, _ranges, build_pg2
 
 
 class Polarity:
@@ -65,12 +65,14 @@ def orthogonal_polarity(spec: FieldSpec) -> Polarity:
 def _paired_incidences(pi: Polarity) -> tuple[np.ndarray, np.ndarray]:
     """The entries (i, p) of the paired incidence matrix: p lies on line sigma(i).
 
-    Rows come in ascending order, each with its points ascending.
+    Rows come in ascending order, each with its points ascending; both are
+    int64, so codes i*n + j stay exact for every plane size.
     """
     ptr = pi.plane.line_ptr
     sizes = np.diff(ptr)[pi.sigma]
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    return rows, pi.plane.line_idx[_ranges(ptr[pi.sigma], sizes)]
+    rows = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    cols = pi.plane.line_idx[_ranges(ptr[pi.sigma], sizes)].astype(np.int64)
+    return rows, cols
 
 
 def verify_polarity(pi: Polarity) -> PolarityVerdict:

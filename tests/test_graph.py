@@ -8,10 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import c4lab.graph
+import c4lab.plane
 from c4lab.field import spec_for_order
-from c4lab.plane import IncidenceStructure, build_pg2, is_one_intersecting
+from c4lab.plane import (
+    IncidenceStructure,
+    _codegree_blocks,
+    build_pg2,
+    is_one_intersecting,
+)
 from c4lab.graph import (
+    MAX_COUNT_N,
     Graph,
     c4_through_edge,
     claim_c4_inequality,
@@ -93,8 +99,32 @@ def test_scans_do_not_depend_on_block_size(monkeypatch):
     expected = scans()
     assert expected[5][0] is False and expected[6][0] is False
     # blocks of one or two rows
-    monkeypatch.setattr(c4lab.graph, "_BLOCK_SIZE", 40)
+    monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", 40)
     assert scans() == expected
+    # every block counted by sorting, then every block by a dense bincount
+    for ratio in (10**9, 0):
+        monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
+        assert scans() == expected
+
+
+def test_sparse_graph_at_the_vertex_limit():
+    n = MAX_COUNT_N
+    # a 4-cycle and a pendant path on the highest vertices
+    top = n - 1 - np.arange(6)
+    cycle = [(top[0], top[1]), (top[1], top[2]), (top[2], top[3]), (top[3], top[0])]
+    g = from_edges(n, cycle + [(top[3], top[4]), (top[4], top[5])])
+    assert count_c4(g) == 1
+    assert not is_c4_free(g)
+    stats = up_p2_stats(g)
+    # degrees 2, 2, 2, 3, 2, 1
+    assert stats["p2"] == 1 + 1 + 1 + 3 + 1
+    # covered pairs: the two diagonals (codegree 2), top[2]-top[4] and
+    # top[0]-top[4] via top[3], top[3]-top[5] via top[4]
+    assert stats["covered_pairs"] == 5
+    assert stats["sum_codegree_choose2"] == 2
+    # so few wedges need one block, not a dense scan of n^2 entries
+    blocks = _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices, np.arange(n))
+    assert len(list(blocks)) == 1
 
 
 # ---------------------------------------------------------------------------

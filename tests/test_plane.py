@@ -149,7 +149,7 @@ def test_audit_witnesses_match_dense_products(q):
         assert is_one_intersecting(s) == (False, line_ref)
         # the pair-coverage audit; verify_projective_plane never reaches it
         # here, since intersecting lines already force a plane
-        assert _one_meet_audit(*s._transpose(), s.line_ptr, s.line_idx, n) == (
+        assert _one_meet_audit(*s._transpose(), s.line_ptr, s.line_idx) == (
             False,
             _first_bad_pair(inc.T),
         )

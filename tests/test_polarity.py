@@ -5,7 +5,7 @@ import pytest
 
 from c4lab.field import FieldSpec, spec_for_order
 from c4lab.graph import count_c4, from_edges
-from c4lab.plane import build_pg2, index_of_triple
+from c4lab.plane import ProjectivePlane, build_pg2, index_of_triple
 from c4lab.polarity import (
     Polarity,
     degree_q_independence,
@@ -43,6 +43,22 @@ class TestVerifyPolarity:
         # row-major first: nothing asymmetric strictly before (i, j)
         asym = np.argwhere(m != m.T)
         assert (asym[0] == [i, j]).all()
+
+    def test_codes_exceed_int32_at_order_256(self):
+        # PG(2, 256) has n = 65793 points, so codes i*n + j pass 2^31.  One
+        # point per line, paired by the involution i <-> n-1-i, keeps the
+        # paired matrix a symmetric permutation matrix at that size.
+        n = 256**2 + 256 + 1
+        plane = ProjectivePlane(
+            spec_for_order(256),
+            np.arange(n + 1, dtype=np.int64),
+            (n - 1 - np.arange(n)).astype(np.int32),
+        )
+        sigma = np.arange(n)
+        assert verify_polarity(Polarity(plane, sigma)).ok
+        # row n-3 now holds point 0, which row 0 does not mirror
+        sigma[[n - 3, n - 1]] = sigma[[n - 1, n - 3]]
+        assert verify_polarity(Polarity(plane, sigma)).witness == (0, n - 3)
 
     def test_shuffled_line_indexing_fails(self):
         # identity pairing under an arbitrary reindexing of the lines
