@@ -4,7 +4,8 @@ subcommand.
 Machine output is JSON on stdout (CSV rows on request for experiment
 reports); the human summary goes to stderr. Every emitted report embeds
 the run configuration. Exit codes: 0 success, 1 verdict failure, 2 usage
-or domain error, 3 I/O error.
+or domain error, 3 I/O error, 4 internal error (a broken invariant, raised
+as AssertionError).
 """
 
 import argparse
@@ -390,15 +391,15 @@ def cli_dispatch(argv=None) -> int:
     cfg = _config_of(args)
     try:
         code, payload, summary = args.func(args)
-    except OSError as exc:
+    except (OSError, _ContentError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except _ContentError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     if isinstance(payload, ExperimentReport):
         if getattr(args, "format", "json") == "csv":
             print(f"# config {json.dumps(cfg, sort_keys=True)}")

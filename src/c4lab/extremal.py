@@ -98,7 +98,8 @@ def turan_bruteforce(n: int) -> TuranRecord:
 
     dfs(0, 0)
     record = TuranRecord(n=n, ex_value=best, extremal_count=None, method="bruteforce")
-    assert record.ex_value <= reiman_bound(n)
+    if record.ex_value > reiman_bound(n):
+        raise AssertionError(f"ex({n}, C4) = {best} exceeds the Reiman bound")
     return record
 
 
@@ -153,7 +154,8 @@ def h_bruteforce(n: int, t: int) -> int:
         dfs(i + 1, chosen, cycles)
 
     dfs(0, 0, 0)
-    assert best is not None
+    if best is None:
+        raise AssertionError(f"no graph with {target} edges on {n} vertices was searched")
     return best
 
 

@@ -412,32 +412,6 @@ def enumerate_field(spec: FieldSpec) -> list[FieldElement]:
     return [FieldElement(spec, i) for i in range(spec.q)]
 
 
-# ---------------------------------------------------------------------------
-# packed representation for characteristic 2: an element's index doubles as a
-# bitmask of its coefficients, so multiplication can run as carry-less shifts
-# with xor reduction.  Kept as an independent route; must agree with the
-# polynomial route (exhaustively tested for k <= 8).
-
-
-def gf2_packed_mul(a: int, b: int, modulus: Sequence[int]) -> int:
-    k = len(modulus) - 1
-    mod_mask = 0
-    for i, c in enumerate(modulus):
-        if c & 1:
-            mod_mask |= 1 << i
-    prod = 0
-    x = a
-    while b:
-        if b & 1:
-            prod ^= x
-        x <<= 1
-        b >>= 1
-    for bit in range(prod.bit_length() - 1, k - 1, -1):
-        if (prod >> bit) & 1:
-            prod ^= mod_mask << (bit - k)
-    return prod
-
-
 def spec_for_order(q: int) -> FieldSpec:
     """FieldSpec for GF(q), factoring q = p^k; rejects non-prime-powers."""
     if q < 2:

@@ -1,5 +1,11 @@
 """Simple graphs in CSR form, exact four-cycle counting, and pair statistics.
 
+Only this module knows the edge encoding: an edge's int64 code min(u, v)*n +
+max(u, v) is also the CSR key row*n + column of its upper entry.  Graphs gain
+and lose edges by splicing ``indices`` at the positions one ``searchsorted`` of
+the new keys finds in the graph's own sorted keys, not by a rebuild; the result
+is a new graph and the original's arrays are never written.
+
 The fast counting path computes codegrees blockwise by enumerating wedges
 u -> w -> x over the CSR arrays (the kernel in ``c4lab.plane``) and counting
 their endpoints in exact integers; the independent brute-force oracle
@@ -55,39 +61,61 @@ class Graph:
         mask = rows < self.indices
         return np.column_stack([rows[mask], self.indices[mask]])
 
+    def _locate(self, edges, present: bool):
+        """Sorted CSR keys of the distinct edges and where they sit in this graph's keys.
+
+        Raises for the first edge, in input order, that is not ``present``.
+        """
+        codes = _edge_codes(self.n, edges)
+        lo, hi = np.divmod(np.unique(codes), self.n)
+        keys = np.sort(np.concatenate([lo * self.n + hi, hi * self.n + lo]))
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        # the sentinel n^2 lies above every key, so each lookup stays in range
+        own = np.append(rows * self.n + self.indices, self.n * self.n)
+        at = np.searchsorted(own, keys)
+        bad = np.isin(codes, keys[(own[at] == keys) != present])
+        if bad.any():
+            u, v = divmod(int(codes[bad.argmax()]), self.n)
+            raise ValueError(f"edge ({u}, {v}) {'not' if present else 'already'} present")
+        return keys, at
+
     def add_edges(self, new_edges) -> "Graph":
-        """A new graph with the given edges added (duplicates rejected)."""
-        new_edges = _as_edge_array(new_edges)
-        for u, v in new_edges:
-            if self.has_edge(int(u), int(v)):
-                raise ValueError(f"edge ({u}, {v}) already present")
-        if len(new_edges):
-            combined = np.vstack([self.edges(), new_edges])
-        else:
-            combined = self.edges()
-        return from_edges(self.n, combined)
+        """A new graph with the given edges added (edges already present rejected)."""
+        keys, at = self._locate(new_edges, present=False)
+        indptr = self.indptr + np.searchsorted(keys, np.arange(self.n + 1) * self.n)
+        return Graph(self.n, indptr, np.insert(self.indices, at, keys % self.n))
 
     def remove_edges(self, gone_edges) -> "Graph":
-        gone = _as_edge_array(gone_edges)
-        for u, v in gone:
-            if not self.has_edge(int(u), int(v)):
-                raise ValueError(f"edge ({u}, {v}) not present")
-        gone_codes = {self.n * min(u, v) + max(u, v) for u, v in gone.tolist()}
-        cur = self.edges()
-        codes = cur[:, 0].astype(np.int64) * self.n + cur[:, 1]
-        keep = np.array([c not in gone_codes for c in codes.tolist()], dtype=bool)
-        return from_edges(self.n, cur[keep])
+        """A new graph with the given edges removed (absent edges rejected)."""
+        keys, at = self._locate(gone_edges, present=True)
+        indptr = self.indptr - np.searchsorted(keys, np.arange(self.n + 1) * self.n)
+        return Graph(self.n, indptr, np.delete(self.indices, at))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _as_edge_array(edges) -> np.ndarray:
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-    if arr.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    arr = arr.reshape(-1, 2).astype(np.int64)
-    return arr
+def _edge_codes(n: int, edges) -> np.ndarray:
+    """The int64 code min(u, v)*n + max(u, v) of each edge, in input order.
+
+    Loops and endpoints outside [0, n) are rejected.
+    """
+    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    arr = arr.reshape(-1, 2)
+    if np.any(arr < 0) or np.any(arr >= n):
+        raise ValueError("edge endpoint out of range")
+    loops = arr[:, 0] == arr[:, 1]
+    if loops.any():
+        raise ValueError(f"loop at vertex {int(arr[loops.argmax(), 0])} rejected")
+    return np.minimum(arr[:, 0], arr[:, 1]) * n + np.maximum(arr[:, 0], arr[:, 1])
+
+
+def _from_codes(n: int, codes: np.ndarray) -> Graph:
+    """The Graph whose edges have the given sorted, distinct codes."""
+    lo, hi = np.divmod(codes, n)
+    keys = np.sort(np.concatenate([codes, hi * n + lo]))
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return Graph(n, indptr, (keys % n).astype(np.int32))
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -95,22 +123,7 @@ def from_edges(n: int, edges) -> Graph:
 
     Loops and endpoints outside [0, n) are rejected.
     """
-    arr = _as_edge_array(edges)
-    if np.any(arr < 0) or np.any(arr >= n):
-        raise ValueError("edge endpoint out of range")
-    if np.any(arr[:, 0] == arr[:, 1]):
-        bad = arr[arr[:, 0] == arr[:, 1]][0]
-        raise ValueError(f"loop at vertex {int(bad[0])} rejected")
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    codes = np.unique(lo * n + hi)
-    lo, hi = codes // n, codes % n
-    heads = np.concatenate([lo, hi])
-    tails = np.concatenate([hi, lo])
-    order = np.lexsort((tails, heads))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, tails[order].astype(np.int32))
+    return _from_codes(n, np.unique(_edge_codes(n, edges)))
 
 
 def _pair_moments(g: Graph, subset: np.ndarray | None = None):
@@ -202,13 +215,8 @@ def count_c4_bruteforce(g: Graph) -> int:
     return total
 
 
-def c4_through_edge(g: Graph, u: int, v: int):
-    """All 4-cycles through the edge (u, v).
-
-    Returns (count, cycles) where each cycle is the ordered quadruple
-    (u, v, x, y) with edges uv, vx, xy, yu; ``cycles`` is None when the count
-    exceeds the materialization cap.
-    """
+def _c4_through_edge(g: Graph, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (x, y): the 4-cycles u-v-x-y-u through the edge (u, v), one per entry."""
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     xs = g.neighbors(v)
@@ -217,10 +225,20 @@ def c4_through_edge(g: Graph, u: int, v: int):
     ys = g.indices[_ranges(g.indptr[xs], n_end)]
     xs = np.repeat(xs, n_end)
     keep = (ys != v) & np.isin(ys, g.neighbors(u))
-    count = int(np.count_nonzero(keep))
-    if count > CYCLE_LIST_CAP:
-        return count, None
-    return count, [(u, v, x, y) for x, y in zip(xs[keep].tolist(), ys[keep].tolist())]
+    return xs[keep], ys[keep]
+
+
+def c4_through_edge(g: Graph, u: int, v: int):
+    """All 4-cycles through the edge (u, v).
+
+    Returns (count, cycles) where each cycle is the ordered quadruple
+    (u, v, x, y) with edges uv, vx, xy, yu; ``cycles`` is None when the count
+    exceeds the materialization cap.
+    """
+    xs, ys = _c4_through_edge(g, u, v)
+    if len(xs) > CYCLE_LIST_CAP:
+        return len(xs), None
+    return len(xs), [(u, v, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
 
 
 def up_p2_stats(g: Graph) -> dict:

@@ -335,8 +335,10 @@ def verify_projective_plane(s: IncidenceStructure) -> PlaneVerdict:
     """Run the plane axioms in a fixed order, stopping at the first failure.
 
     Order: point/line counts of the form q^2+q+1; line uniformity q+1; point
-    regularity q+1; every pair of lines meets in exactly one point; every pair
-    of points lies on exactly one line.
+    regularity q+1; every pair of lines meets in exactly one point.  These
+    force the dual axiom, that every pair of points lies on exactly one line:
+    the q+1 lines through a point p meet pairwise only in p, so they cover
+    1 + (q+1)q = q^2+q+1 points, each point other than p exactly once.
     """
     n, L = s.n_points, s.n_lines
     q = _infer_order(n)
@@ -369,8 +371,7 @@ def verify_projective_plane(s: IncidenceStructure) -> PlaneVerdict:
             witness=(p, int(degs[p])),
             detail=f"point {p} lies on {int(degs[p])} lines, expected {q + 1}",
         )
-    lines, points = (s.line_ptr, s.line_idx), s._transpose()
-    ok, witness = _one_meet_audit(*lines, *points)
+    ok, witness = _one_meet_audit(s.line_ptr, s.line_idx, *s._transpose())
     if not ok:
         i, j, count = witness
         return PlaneVerdict(
@@ -379,16 +380,6 @@ def verify_projective_plane(s: IncidenceStructure) -> PlaneVerdict:
             axiom="line-intersections",
             witness=(i, j, count),
             detail=f"lines {i} and {j} share {count} points, expected 1",
-        )
-    ok, witness = _one_meet_audit(*points, *lines)
-    if not ok:
-        u, v, count = witness
-        return PlaneVerdict(
-            False,
-            order=q,
-            axiom="pair-coverage",
-            witness=(u, v, count),
-            detail=f"points {u} and {v} lie on {count} common lines, expected 1",
         )
     return PlaneVerdict(True, order=q, detail=f"projective plane of order {q}")
 
@@ -476,13 +467,15 @@ def extend_one_intersecting(
         cover = np.bincount(
             np.concatenate([f] + [fam_lines[j] for j in picked]), minlength=n
         )
-        assert np.all(cover >= 1), (
-            f"hypothesis violated: sunflower through {u} fails to cover the points"
-        )
-        assert np.all(meet == 1), (
-            "hypothesis violated: certified line does not meet every family "
-            "line exactly once"
-        )
+        if not np.all(cover >= 1):
+            raise AssertionError(
+                f"hypothesis violated: sunflower through {u} fails to cover the points"
+            )
+        if not np.all(meet == 1):
+            raise AssertionError(
+                "hypothesis violated: certified line does not meet every family "
+                "line exactly once"
+            )
         j_new = len(fam_lines)
         fam_lines.append(f)
         fam_sets.add(frozenset(int(p) for p in f))

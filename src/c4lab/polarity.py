@@ -15,7 +15,7 @@ from math import isqrt
 import numpy as np
 
 from c4lab.field import FieldSpec, spec_for_order
-from c4lab.graph import Graph, _has_c4, from_edges
+from c4lab.graph import Graph, _from_codes, _has_c4
 from c4lab.plane import ProjectivePlane, _ranges, build_pg2
 
 
@@ -142,8 +142,9 @@ def polarity_graph(pi: Polarity) -> PolarityGraph:
     a = len(absolute)
     m_pi = _m_pi_of(q, a)
 
+    # the codes of the upper triangle are already sorted and distinct
     upper = rows < cols
-    g = from_edges(pi.plane.n_points, np.column_stack([rows[upper], cols[upper]]))
+    g = _from_codes(pi.plane.n_points, rows[upper] * pi.plane.n_points + cols[upper])
 
     degs = g.degrees()
     expected = np.full(g.n, q + 1, dtype=np.int64)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from c4lab.field import spec_for_order
-from c4lab.graph import Graph, c4_through_edge, count_c4, from_edges
+from c4lab.graph import Graph, _c4_through_edge, _edge_codes, count_c4
 from c4lab.polarity import (
     PolarityGraph,
     degree_q_independence,
@@ -125,35 +125,30 @@ def _rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-def _canonical_edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def _cycle_edge_codes(g: Graph, u: int, v: int) -> np.ndarray:
+    """Codes of the edges vx, xy, yu of each 4-cycle u-v-x-y-u; one row per cycle."""
+    x, y = _c4_through_edge(g, u, v)
+    pairs = np.column_stack([np.full_like(x, v), x, x, y, y, np.full_like(y, u)])
+    return _edge_codes(g.n, pairs.reshape(-1, 2)).reshape(-1, 3)
 
 
-def _cycle_partition(g: Graph, added) -> tuple[int, int, set]:
-    """(C0, C1, cycles): 4-cycles of g through the added edges, split by usage.
+def _cycle_partition(g: Graph, added) -> tuple[int, int]:
+    """(C0, C1): 4-cycles of g through the added edges, split by usage.
 
     C0 counts cycles using exactly one added edge, C1 the rest.  When the
-    base graph was C4-free this is a partition of ALL 4-cycles of g.
+    base graph was C4-free this is a partition of ALL 4-cycles of g.  A cycle
+    using j added edges is listed once from each of them, so the listings
+    that use j added edges number j times the cycles.
     """
-    added_set = {_canonical_edge(*e) for e in added}
-    seen: set[frozenset] = set()
-    for u, v in sorted(added_set):
-        _, cycles = c4_through_edge(g, u, v)
-        assert cycles is not None
-        for a, b, x, y in cycles:
-            seen.add(
-                frozenset(
-                    [
-                        _canonical_edge(a, b),
-                        _canonical_edge(b, x),
-                        _canonical_edge(x, y),
-                        _canonical_edge(y, a),
-                    ]
-                )
-            )
-    c0 = sum(1 for cyc in seen if len(cyc & added_set) == 1)
-    c1 = len(seen) - c0
-    return c0, c1, seen
+    added = np.asarray(added, dtype=np.int64).reshape(-1, 2)
+    codes, first = np.unique(_edge_codes(g.n, added), return_index=True)
+    listings = np.zeros(5, dtype=np.int64)  # by the number of added edges used
+    for u, v in added[first].tolist():
+        used = 1 + np.isin(_cycle_edge_codes(g, u, v), codes).sum(axis=1)
+        listings += np.bincount(used, minlength=5)
+    if np.any(listings[2:] % np.arange(2, 5)):
+        raise AssertionError(f"cycle listings {listings[2:]} not multiples of 2, 3, 4")
+    return int(listings[1]), int(np.sum(listings[2:] // np.arange(2, 5)))
 
 
 def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
@@ -167,13 +162,8 @@ def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
     if pg.graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is already an edge")
     g2 = pg.graph.add_edges([(u, v)])
-    count, cycles = c4_through_edge(g2, u, v)
-    assert cycles is not None
-    non_uv = []
-    for a, b, x, y in cycles:
-        non_uv.extend(
-            [_canonical_edge(b, x), _canonical_edge(x, y), _canonical_edge(y, a)]
-        )
+    non_uv = _cycle_edge_codes(g2, u, v)
+    count = len(non_uv)
     deg_u = int(pg.graph.degrees()[u])
     deg_v = int(pg.graph.degrees()[v])
     total = count_c4(g2)
@@ -181,7 +171,7 @@ def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
         "count_in_range": count in (q - 1, q, q + 1),
         "q_minus_1_iff_both_degree_q": (count == q - 1)
         == (deg_u == q and deg_v == q),
-        "cycles_pairwise_share_only_uv": len(non_uv) == len(set(non_uv)),
+        "cycles_pairwise_share_only_uv": len(np.unique(non_uv)) == non_uv.size,
         "all_cycles_counted_through_uv": total == count,
     }
     return ExperimentReport(
@@ -218,8 +208,8 @@ def matching_experiment(q: int, t: int, seed: int = 0) -> ExperimentReport:
     added = [
         [int(chosen[2 * i]), int(chosen[2 * i + 1])] for i in range(t)
     ]
-    g2 = pg.graph.add_edges(added) if added else pg.graph
-    c0, c1, _ = _cycle_partition(g2, added)
+    g2 = pg.graph.add_edges(added)
+    c0, c1 = _cycle_partition(g2, added)
     count = c0 + c1
     verdicts = {
         "degree_q_set_independent": independent,
@@ -290,8 +280,7 @@ def random_supersat(
         added = _bernoulli_additions(pg, alpha, rng)
         xs.append(len(added))
         if count_cycles:
-            g2 = pg.graph.add_edges(added) if added else pg.graph
-            ys.append(count_c4(g2))
+            ys.append(count_c4(pg.graph.add_edges(added)))
         else:
             ys.append(None)
     frac = sum(1 for x in xs if x >= t) / trials
@@ -365,27 +354,21 @@ def classify_perturbation(pg: PolarityGraph, add, remove) -> ExperimentReport:
     the range needs q much larger than s, so the verdict is informative.
     """
     t0 = time.perf_counter()
-    add = [_canonical_edge(int(a), int(b)) for a, b in add]
-    remove = [_canonical_edge(int(a), int(b)) for a, b in remove]
+    add = [sorted((int(a), int(b))) for a, b in add]
+    remove = [sorted((int(a), int(b))) for a, b in remove]
     if len(add) != len(remove) + 1:
         raise ValueError("need exactly one more added edge than removed")
-    for e in add:
-        if pg.graph.has_edge(*e):
-            raise ValueError(f"added edge {e} already present")
-    for e in remove:
-        if not pg.graph.has_edge(*e):
-            raise ValueError(f"removed edge {e} not present")
+    # both lists are checked against pg itself, so an edge listed in both is refused
+    pg.graph.add_edges(add)
+    count = count_c4(pg.graph.remove_edges(remove).add_edges(add))
     q = pg.q
     s = len(add)
-    g2 = pg.graph.remove_edges(remove) if remove else pg.graph
-    g2 = g2.add_edges(add)
-    count = count_c4(g2)
     lo, hi = s * q - s * s, s * q + s * s
     in_range = lo <= count <= hi
     kind = "required" if s == 1 else "informative"
     return ExperimentReport(
         experiment="classify_perturbation",
-        params={"q": q, "add": [list(e) for e in add], "remove": [list(e) for e in remove]},
+        params={"q": q, "add": add, "remove": remove},
         measured={"s": s, "count": count, "in_range": in_range, "verdict_kind": kind},
         bounds={"low": lo, "high": hi},
         # only s=1 is guaranteed at every order; larger s is reported, not gated
@@ -401,16 +384,12 @@ def upper_count_audit(pg: PolarityGraph, add) -> dict:
     rest (at most 2*C(s,2)).  The partition total is cross-checked against a
     global count.
     """
-    add = [_canonical_edge(int(a), int(b)) for a, b in add]
     s = len(add)
     if s > 64:
         raise ValueError("at most 64 added edges are supported")
-    for e in add:
-        if pg.graph.has_edge(*e):
-            raise ValueError(f"added edge {e} already present")
     q = pg.q
-    g2 = pg.graph.add_edges(add) if add else pg.graph
-    c0, c1, _ = _cycle_partition(g2, add)
+    g2 = pg.graph.add_edges(add)
+    c0, c1 = _cycle_partition(g2, add)
     bound_c0 = s * (q + 1)
     bound_c1 = s * (s - 1)  # 2 * C(s, 2)
     out = {
@@ -423,7 +402,8 @@ def upper_count_audit(pg: PolarityGraph, add) -> dict:
     }
     if q <= RECOUNT_MAX_Q:
         total = count_c4(g2)
-        assert c0 + c1 == total, "cycle partition is incomplete"
+        if c0 + c1 != total:
+            raise AssertionError(f"cycle partition {c0} + {c1} misses cycles of {total}")
         out["total"] = total
     else:
         out["total"] = c0 + c1

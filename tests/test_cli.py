@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import c4lab.supersat
 from c4lab.cli import cli_dispatch
 from c4lab.plane import IncidenceStructure, build_pg2, write_incidence
 from c4lab.field import spec_for_order
@@ -208,6 +209,16 @@ class TestDispatch:
         payload = json.loads(out)
         assert payload["ok"] and payload["criteria"][0]["number"] == 10
         assert "criterion 10 [PASS]" in err
+
+    def test_broken_invariant_is_internal_error(self, capsys, monkeypatch):
+        # a wrong global count breaks the audit's cross-check of its partition
+        monkeypatch.setattr(c4lab.supersat, "count_c4", lambda g: -1)
+        code, out, err = run(capsys, "supersat", "audit", "--q", "8", "--add", "1,2")
+        assert code == 4 and out == ""
+        assert "internal error: cycle partition" in err
+        code, _, err = run(capsys, "supersat", "audit", "--q", "8", "--add", "1,1")
+        assert code == 2
+        assert "loop at vertex 1" in err
 
     def test_bad_edge_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,6 @@ from c4lab.field import (
     FieldElement,
     enumerate_field,
     find_irreducible,
-    gf2_packed_mul,
     is_irreducible,
     poly_powmod,
 )
@@ -136,6 +135,30 @@ def test_vectorized_ops_match_scalar(p, k):
         assert inv[i] == spec.inv_index(int(nz[i]))
     with pytest.raises(ZeroDivisionError):
         spec.vinv(np.array([0, 1]))
+
+
+def gf2_packed_mul(a: int, b: int, modulus) -> int:
+    """Independent multiplication route for characteristic 2.
+
+    An element's index doubles as a bitmask of its coefficients, so
+    multiplication runs as carry-less shifts with xor reduction.
+    """
+    k = len(modulus) - 1
+    mod_mask = 0
+    for i, c in enumerate(modulus):
+        if c & 1:
+            mod_mask |= 1 << i
+    prod = 0
+    x = a
+    while b:
+        if b & 1:
+            prod ^= x
+        x <<= 1
+        b >>= 1
+    for bit in range(prod.bit_length() - 1, k - 1, -1):
+        if (prod >> bit) & 1:
+            prod ^= mod_mask << (bit - k)
+    return prod
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -177,6 +177,49 @@ class TestFromEdges:
             g.remove_edges([(0, 2)])
 
 
+def same_csr(a: Graph, b: Graph) -> bool:
+    return (
+        a.n == b.n
+        and (a.indptr.dtype, a.indices.dtype) == (b.indptr.dtype, b.indices.dtype)
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+    )
+
+
+class TestMutation:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_add_matches_rebuild_and_remove_undoes_it(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(4, 40))
+        g = random_graph(n, float(rng.uniform(0.05, 0.7)), seed)
+        gaps = np.argwhere(np.triu(~dense_adj(g), 1))
+        new = gaps[rng.choice(len(gaps), size=min(len(gaps), 10), replace=False)]
+        flip = rng.random(len(new)) < 0.5
+        new[flip] = new[flip, ::-1]  # either orientation
+        grown = g.add_edges(new)
+        assert same_csr(grown, from_edges(n, np.vstack([g.edges(), new])))
+        assert same_csr(grown.remove_edges(new), g)
+        assert same_csr(g.add_edges([]), g) and same_csr(g.remove_edges([]), g)
+        for u, v in new.tolist():
+            g_e = g.add_edges([(u, v)])
+            assert count_c4(g_e) - count_c4(g) == c4_through_edge(g_e, u, v)[0]
+
+    def test_errors_name_the_first_offending_edge(self):
+        g = petersen()
+        # repeats and both orientations of one edge are one edge
+        assert same_csr(g.add_edges([(2, 0), (0, 2), (0, 2)]), g.add_edges([(0, 2)]))
+        assert same_csr(g.remove_edges([(1, 0), (0, 1)]), g.remove_edges([(0, 1)]))
+        # the first in input order, not in code order
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\) already present$"):
+            g.add_edges([(0, 2), (2, 1), (4, 0)])
+        with pytest.raises(ValueError, match=r"^edge \(1, 3\) not present$"):
+            g.remove_edges([(0, 1), (3, 1), (2, 0)])
+        with pytest.raises(ValueError, match="loop"):
+            g.add_edges([(0, 2), (3, 3)])
+        with pytest.raises(ValueError, match="out of range"):
+            g.remove_edges([(0, 10)])
+
+
 # ---------------------------------------------------------------------------
 # codegree and counting
 

@@ -21,15 +21,25 @@ from c4lab.plane import (
 
 FIELDS = {q: FieldSpec(p, k) for q, (p, k) in
           {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
-           8: (2, 3), 9: (3, 2), 16: (2, 4)}.items()}
+           8: (2, 3), 9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4)}.items()}
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_pg2_satisfies_all_axioms(q):
     plane = build_pg2(FIELDS[q])
     verdict = verify_projective_plane(plane)
     assert verdict.ok and verdict.order == q
     assert plane.n_points == plane.n_lines == q * q + q + 1
+    # the dual axiom verify_projective_plane derives instead of auditing:
+    # every two points lie on exactly one line, also after relabelling
+    rng = np.random.default_rng(q)
+    points = rng.permutation(plane.n_points)
+    lines = [sorted(points[ln].tolist()) for ln in plane.lines()]
+    order = rng.permutation(len(lines))
+    shuffled = IncidenceStructure(plane.n_points, [lines[i] for i in order])
+    for s in (plane, shuffled):
+        assert verify_projective_plane(s).ok
+        assert _one_meet_audit(*s._transpose(), s.line_ptr, s.line_idx) == (True, None)
 
 
 def test_triple_indexing_roundtrip():
@@ -97,7 +107,7 @@ def test_verify_catches_point_swap_between_lines():
     lines[1] = sorted((b - {r}) | {p})
     verdict = verify_projective_plane(IncidenceStructure(plane.n_points, lines))
     assert not verdict.ok
-    assert verdict.axiom in ("line-intersections", "pair-coverage")
+    assert verdict.axiom == "line-intersections"
     assert verdict.witness is not None
 
 
@@ -147,8 +157,8 @@ def test_audit_witnesses_match_dense_products(q):
         assert verdict.axiom == "line-intersections"
         assert verdict.witness == line_ref
         assert is_one_intersecting(s) == (False, line_ref)
-        # the pair-coverage audit; verify_projective_plane never reaches it
-        # here, since intersecting lines already force a plane
+        # the pair-coverage audit, which verify_projective_plane no longer
+        # runs: lines meeting once already force it
         assert _one_meet_audit(*s._transpose(), s.line_ptr, s.line_idx) == (
             False,
             _first_bad_pair(inc.T),

@@ -1,12 +1,21 @@
 """Supersaturation experiments: exact matching counts, randomized additions,
 the unconditional halfway bound, and perturbation audits."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from c4lab.graph import count_c4
+import c4lab.supersat
+from c4lab.graph import c4_through_edge, count_c4, from_edges
+from c4lab.polarity import PolarityGraph
 from c4lab.supersat import (
     ExperimentReport,
+    _cycle_partition,
     add_edge_experiment,
     classify_perturbation,
     er_graph,
@@ -32,6 +41,93 @@ def nonedges(pg, rng, k):
         seen.add((u, v))
         out.append((u, v))
     return out
+
+
+def cycle_usage_oracle(g, added) -> Counter:
+    """Cycles through the added edges, by how many added edges each uses.
+
+    The frozenset bookkeeping that the multiplicity count replaced.
+    """
+    canon = lambda a, b: (a, b) if a < b else (b, a)  # noqa: E731
+    added_set = {canon(*e) for e in added}
+    seen = set()
+    for u, v in sorted(added_set):
+        for a, b, x, y in c4_through_edge(g, u, v)[1]:
+            seen.add(frozenset([canon(a, b), canon(b, x), canon(x, y), canon(y, a)]))
+    return Counter(len(cyc & added_set) for cyc in seen)
+
+
+def star_perturbation(pg, rng):
+    """Every non-edge among a vertex w, two neighbours of w and two other vertices.
+
+    Added cycles then use two (w-a-x-b-w), three (w-a-x-y-w) and four
+    (a-x-b-y-a) added edges.
+    """
+    g = pg.graph
+    w = int(rng.integers(g.n))
+    nbrs = rng.choice(g.neighbors(w), 2, replace=False).tolist()
+    others = np.setdiff1d(np.arange(g.n), np.append(g.neighbors(w), w))
+    s = [w] + nbrs + rng.choice(others, 2, replace=False).tolist()
+    return [(a, b) for i, a in enumerate(s) for b in s[i + 1 :] if not g.has_edge(a, b)]
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_cycle_partition_matches_cycle_sets(q):
+    pg = er_graph(q)
+    rng = np.random.default_rng(40 + q)
+    usage = Counter()
+    for _ in range(6):
+        added = star_perturbation(pg, rng) + nonedges(pg, rng, 3)
+        added = list(dict.fromkeys(added))
+        g2 = pg.graph.add_edges(added)
+        expected = cycle_usage_oracle(g2, added)
+        c0, c1 = _cycle_partition(g2, added)
+        assert (c0, c1) == (expected[1], sum(expected.values()) - expected[1])
+        assert c0 + c1 == count_c4(g2)
+        usage += expected
+    assert {2, 3, 4} <= set(usage)
+
+
+def test_cycle_partition_rejects_a_missing_listing(monkeypatch):
+    # one 4-cycle a-b-c-d-a through two added edges, ab and cd
+    pg = er_graph(8)
+    g = pg.graph
+    a, d = (int(x) for x in g.edges()[0])
+    b, c = next(
+        (int(b), int(c))
+        for b, c in g.edges()[1:]
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, b) and not g.has_edge(c, d)
+    )
+    added = [(a, b), (c, d)]
+    g2 = g.add_edges(added)
+    assert cycle_usage_oracle(g2, added)[2] == 1
+    # listing the cycle from ab alone leaves one listing for a two-edge cycle
+    real = c4lab.supersat._c4_through_edge
+    monkeypatch.setattr(
+        c4lab.supersat,
+        "_c4_through_edge",
+        lambda g, u, v: real(g, u, v) if (u, v) == (a, b) else (np.zeros(0),) * 2,
+    )
+    with pytest.raises(AssertionError, match="not multiples"):
+        _cycle_partition(g2, added)
+
+
+def test_partition_check_survives_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import c4lab.supersat as s; s.count_c4 = lambda g: -1; pg = s.er_graph(4); "
+        "a = pg.absolute_points; s.upper_count_audit(pg, [(int(a[0]), int(a[1]))])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode != 0
+    assert "AssertionError: cycle partition" in result.stderr
 
 
 def test_cached_er_graph_arrays_are_read_only():
@@ -97,6 +193,14 @@ class TestAddEdge:
         u, v = pg.graph.edges()[0]
         with pytest.raises(ValueError, match="already an edge"):
             add_edge_experiment(pg, int(u), int(v))
+
+    def test_shared_edge_fails_the_sharing_verdict(self):
+        # the cycles 0-1-2-3 and 0-1-2-4 through the new edge 01 share the edge 12
+        g = from_edges(5, [(1, 2), (2, 3), (3, 0), (2, 4), (4, 0)])
+        pg = PolarityGraph(2, g, np.zeros(0, dtype=np.int64), 0, 0, None)
+        r = add_edge_experiment(pg, 0, 1)
+        assert r.measured["count"] == 2
+        assert not r.verdicts["cycles_pairwise_share_only_uv"]
 
     def test_exhaustive_q4(self):
         pg = er_graph(4)
@@ -274,6 +378,11 @@ class TestClassifyPerturbation:
             classify_perturbation(pg, add=[e], remove=[])
         with pytest.raises(ValueError, match="not present"):
             classify_perturbation(pg, add=gaps[:2], remove=[gaps[2]])
+        # an edge listed both as added and as removed is refused either way
+        with pytest.raises(ValueError, match="already present"):
+            classify_perturbation(pg, add=[e, gaps[0]], remove=[e])
+        with pytest.raises(ValueError, match="not present"):
+            classify_perturbation(pg, add=gaps[:2], remove=[gaps[0]])
 
 
 class TestUpperCountAudit:
@@ -303,6 +412,15 @@ class TestUpperCountAudit:
         assert out["bound_ok"]
         # partition completeness against the global count
         assert out["total"] == count_c4(pg.graph.add_edges(add))
+
+    def test_repeated_edge_counts_once(self):
+        pg = er_graph(8)
+        a = pg.absolute_points
+        e = (int(a[0]), int(a[1]))
+        once = upper_count_audit(pg, [e])
+        twice = upper_count_audit(pg, [e, e[::-1]])
+        assert twice["s"] == 2
+        assert (twice["C0"], twice["C1"], twice["total"]) == (once["C0"], 0, once["total"])
 
     def test_empty_add(self):
         out = upper_count_audit(er_graph(4), [])
