@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from c4lab.plane import IncidenceStructure, _codegree_blocks, _ranges
+from c4lab.plane import IncidenceStructure, _codegree_blocks, _listing, _ranges
 from c4lab.plane import is_one_intersecting
 
 # Overflow certificate for the int64 pair codes, wedge counts and block sums
@@ -28,7 +28,9 @@ from c4lab.plane import is_one_intersecting
 # sum_x codeg(u, x) <= d^2 and sum_x codeg(u, x)^2 <= d^3.  With n <= 2^17 and
 # d <= 2^10 every pair code i*n + x stays below 2^34, every wedge total below
 # 2^37, every sum of squared codegrees below 2^47 and every choose-2 sum below
-# 2^46, far from 2^63.
+# 2^46, far from 2^63.  count_c4 reduces a block by np.dot(c, c) - c.sum():
+# np.dot on int64 vectors is an exact integer loop (BLAS serves only floats),
+# and a block's c.c is at most the whole graph's sum of squares, below 2^47.
 MAX_COUNT_N = 1 << 17
 MAX_COUNT_DEGREE = 1 << 10
 MAX_BRUTEFORCE_N = 64
@@ -51,6 +53,8 @@ class Graph:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError("edge endpoint out of range")
         row = self.neighbors(u)
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
@@ -141,23 +145,38 @@ def _pair_moments(g: Graph, subset: np.ndarray | None = None):
     sum_choose2 = covered_pairs = 0
     covered_with = np.zeros(len(rows), dtype=np.int64)
     blocks = _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices, rows)
-    for _, _, i, x, c in blocks:
-        if subset is not None:
-            # keep the partners inside the subset, numbered by position
-            x = position[x]
-            inside = x >= 0
-            i, x, c = i[inside], x[inside], c[inside]
-        covered_with += np.bincount(i, minlength=len(rows))
-        covered_with += np.bincount(x, minlength=len(rows))
-        sum_choose2 += int(np.sum(c * (c - 1))) // 2
-        covered_pairs += len(c)
+    for lo, hi, codes, c in blocks:
+        if codes is None:
+            # a dense block is the matrix of its rows' codegrees
+            block = c.reshape(hi - lo, g.n)
+            if subset is not None:
+                block = block[:, subset]
+            covered = block != 0
+            covered_with[lo:hi] += np.count_nonzero(covered, axis=1)
+            covered_with += np.count_nonzero(covered, axis=0)
+            c = block.ravel()
+        else:
+            i, x, c = _listing(lo, g.n, codes, c)
+            if subset is not None:
+                # keep the partners inside the subset, numbered by position
+                x = position[x]
+                inside = x >= 0
+                i, x, c = i[inside], x[inside], c[inside]
+            covered_with += np.bincount(i, minlength=len(rows))
+            covered_with += np.bincount(x, minlength=len(rows))
+        sum_choose2 += int(np.dot(c, c) - c.sum()) // 2
+        covered_pairs += np.count_nonzero(c)
     return sum_choose2, covered_pairs, covered_with
+
+
+def _blocks(g: Graph):
+    """The kernel's codegree blocks over every vertex of g."""
+    return _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices, np.arange(g.n))
 
 
 def _has_c4(g: Graph) -> bool:
     """Whether two distinct vertices have two common neighbours; stops at the first."""
-    blocks = _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices, np.arange(g.n))
-    return any(c.max(initial=0) >= 2 for *_, c in blocks)
+    return any(c.max(initial=0) >= 2 for *_, c in _blocks(g))
 
 
 def codegree(g: Graph, u: int, v: int) -> int:
@@ -182,7 +201,8 @@ def _check_counting_limits(g: Graph) -> None:
 def count_c4(g: Graph) -> int:
     """Exact number of 4-cycle subgraphs: half the sum of C(codegree, 2) over pairs."""
     _check_counting_limits(g)
-    total = _pair_moments(g)[0]
+    # each block adds sum C(c, 2) = (c.c - sum c) / 2 over its pairs
+    total = sum(int(np.dot(c, c) - c.sum()) // 2 for *_, c in _blocks(g))
     if total % 2:
         raise AssertionError(f"codegree choose-2 mass {total} must be even")
     return total // 2

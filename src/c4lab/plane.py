@@ -230,17 +230,21 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _codegree_blocks(ptr, idx, back_ptr, back_idx, rows: np.ndarray):
-    """Yield (lo, hi, i, x, c) covering the sorted source rows[lo:hi] in turn.
+    """Yield (lo, hi, codes, c) covering the sorted source rows[lo:hi] in turn.
 
     A wedge s -> w -> x takes w from row s of (ptr, idx) and x from row w of
     (back_ptr, back_idx), both with sorted rows: for a simple graph both are
     its CSR, for an incidence structure one is the transpose of the other.
     Sources and ends are then alike, the codegree matrix is symmetric, and
-    only its upper triangle is listed: each pair (rows[i], x) with x > rows[i]
-    and c >= 1 wedges rows[i] -> w -> x, once, in row-major order.  A block
-    holds at most _BLOCK_SIZE wedges (a single row may exceed this).  Its
-    wedge ends are counted by a dense bincount of at most _BLOCK_SIZE
-    entries, or by sorting when they are much fewer than its dense entries.
+    only its upper triangle is counted: the wedges rows[i] -> w -> x with
+    x > rows[i].  The pair (rows[i], x) has the block code (i - lo)*n_cols + x
+    with n_cols = len(ptr) - 1.  A block holds at most _BLOCK_SIZE wedges (a
+    single row may exceed this) and comes in the form it was counted in:
+    ``codes`` is None and ``c`` is the dense bincount of all (hi - lo)*n_cols
+    codes, zeros included, at most _BLOCK_SIZE entries; or, when its wedges
+    are much fewer than its dense entries, ``codes`` are the ascending codes
+    of the covered pairs and ``c`` their counts, all >= 1.  Sums and maxima
+    over ``c`` read either form alike; ``_listing`` gives the pairs.
     """
     n_cols = len(ptr) - 1
     # the ends x > s of row w follow s in the sorted keys w * n_cols + x
@@ -268,14 +272,22 @@ def _codegree_blocks(ptr, idx, back_ptr, back_idx, rows: np.ndarray):
         src = np.repeat(np.repeat(np.arange(hi - lo), n_mid), n_end)
         codes = src * n_cols + ends
         if sparse:
-            codes, counts = np.unique(codes, return_counts=True)
+            yield lo, hi, *np.unique(codes, return_counts=True)
         else:
-            counts = np.bincount(codes, minlength=(hi - lo) * n_cols)
-            codes = np.flatnonzero(counts)
-            counts = counts[codes]
-        i, x = np.divmod(codes, n_cols)
-        yield lo, hi, i + lo, x, counts
+            yield lo, hi, None, np.bincount(codes, minlength=(hi - lo) * n_cols)
         lo = hi
+
+
+def _listing(lo: int, n_cols: int, codes, c: np.ndarray):
+    """The covered pairs of a block from ``_codegree_blocks`` as (i, x, c).
+
+    Row-major order; i indexes the kernel's source rows and every c is >= 1.
+    """
+    if codes is None:
+        codes = np.flatnonzero(c)
+        c = c[codes]
+    i, x = np.divmod(codes, n_cols)
+    return i + lo, x, c
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +321,11 @@ def _one_meet_audit(ptr, idx, back_ptr, back_idx):
     that pair has i < j.
     """
     n = len(ptr) - 1
-    for lo, hi, i, x, c in _codegree_blocks(ptr, idx, back_ptr, back_idx, np.arange(n)):
+    for lo, hi, codes, c in _codegree_blocks(ptr, idx, back_ptr, back_idx, np.arange(n)):
         left = n - 1 - np.arange(lo, hi)  # the pairs (r, j > r) of each row
-        if len(c) == left.sum() and c.max(initial=1) == 1:
+        if np.count_nonzero(c) == left.sum() and c.max(initial=1) == 1:
             continue
+        i, x, c = _listing(lo, n, codes, c)
         found = []
         heavy = np.flatnonzero(c != 1)
         if len(heavy):

@@ -26,6 +26,7 @@ from c4lab.polarity import (
 )
 
 RECOUNT_MAX_Q = 64  # above this the global recount is skipped (route is exact)
+_DRAW_BLOCK = 1 << 19  # uniform draws per Generator.random call: 4 MB of doubles
 
 
 @dataclass
@@ -232,18 +233,30 @@ def matching_experiment(q: int, t: int, seed: int = 0) -> ExperimentReport:
 def _bernoulli_additions(
     pg: PolarityGraph, alpha: float, rng: np.random.Generator
 ) -> list[tuple[int, int]]:
-    """One draw per non-adjacent pair in lexicographic order; hits are added."""
+    """One draw per non-adjacent pair in lexicographic order; hits are added.
+
+    The draws are taken _DRAW_BLOCK at a time: a Philox generator yields the
+    same stream however its ``random`` calls split it, so the block edges
+    need not fall between rows.
+    """
     g = pg.graph
     n = g.n
-    row = np.zeros(n, dtype=bool)
+    rows = np.repeat(np.arange(n), g.degrees())
+    # the candidates of row u are the vertices h > u that are not its neighbours
+    n_cand = np.arange(n - 1, -1, -1) - np.bincount(rows[g.indices > rows], minlength=n)
+    start = np.concatenate([[0], np.cumsum(n_cand)])
     added = []
-    for u in range(n - 1):
-        row[:] = False
-        row[g.neighbors(u)] = True
-        cand = np.flatnonzero(~row[u + 1 :]) + u + 1
-        draws = rng.random(len(cand))
-        for h in cand[draws < alpha].tolist():
-            added.append((u, h))
+    for lo in range(0, int(start[-1]), _DRAW_BLOCK):
+        draws = rng.random(min(_DRAW_BLOCK, int(start[-1]) - lo))
+        for k in (lo + np.flatnonzero(draws < alpha)).tolist():
+            u = int(np.searchsorted(start, k, side="right")) - 1
+            r = k - int(start[u])
+            # nb[i] - u - 1 - i candidates lie between u and nb[i], so the r-th
+            # candidate lies beyond the neighbours with at most r below them
+            nb = g.neighbors(u)
+            nb = nb[nb > u]
+            skipped = np.searchsorted(nb - u - 1 - np.arange(len(nb)), r, side="right")
+            added.append((u, u + 1 + r + int(skipped)))
     return added
 
 

@@ -163,6 +163,12 @@ class TestSupersatCommands:
         assert code == 0
         assert payload["measured"]["count"] == 7
 
+    @pytest.mark.parametrize("u", ["22", "-1"])
+    def test_add_edge_endpoint_out_of_range(self, capsys, u):
+        code, _, err = run(capsys, "supersat", "add-edge", "--q", "4", "--u", u, "--v", "1")
+        assert code == 2
+        assert "endpoint out of range" in err
+
     def test_random_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_dispatch(["supersat", "random", "--q", "8", "--t", "2", "--trials", "3"])

@@ -8,14 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import c4lab.graph
 import c4lab.plane
 from c4lab.field import spec_for_order
 from c4lab.plane import (
     IncidenceStructure,
     _codegree_blocks,
+    _listing,
     build_pg2,
     is_one_intersecting,
+    verify_projective_plane,
 )
+from c4lab.supersat import er_graph
 from c4lab.graph import (
     MAX_COUNT_N,
     Graph,
@@ -83,6 +87,10 @@ def test_scans_do_not_depend_on_block_size(monkeypatch):
     plane = build_pg2(spec_for_order(4))
     # a foreign fifth-order line: some pairs now meet twice, some not at all
     family = IncidenceStructure(21, plane.lines()[1:] + [[0, 1, 2, 3, 4]])
+    # lines 0 and 9 trade points 1 and 0: sizes and degrees stay 5, but line 0
+    # now meets line 1 in points 0 and 5
+    swapped = plane.lines()
+    swapped[0], swapped[9] = [0, 5, 9, 13, 17], [1, 9, 10, 11, 12]
 
     def scans():
         stats = graph_stats(g, 3)
@@ -94,10 +102,12 @@ def test_scans_do_not_depend_on_block_size(monkeypatch):
             claim_c4_inequality(g, range(0, 30, 2)),
             is_one_intersecting(family),
             is_one_intersecting(family.dual()),
+            verify_projective_plane(IncidenceStructure(21, swapped)).witness,
         )
 
     expected = scans()
     assert expected[5][0] is False and expected[6][0] is False
+    assert expected[7] == (0, 1, 2)
     # blocks of one or two rows
     monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", 40)
     assert scans() == expected
@@ -105,6 +115,71 @@ def test_scans_do_not_depend_on_block_size(monkeypatch):
     for ratio in (10**9, 0):
         monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
         assert scans() == expected
+
+
+def dense_codegrees(g: Graph) -> np.ndarray:
+    adj = np.zeros((g.n, g.n), dtype=np.int64)
+    e = g.edges()
+    adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = 1
+    return adj @ adj
+
+
+def perturbed_er_graph(q: int, seed: int) -> Graph:
+    """er_graph(q) plus 3q seeded new edges, which make codegrees of 2 and 3."""
+    g = er_graph(q).graph
+    rng = np.random.default_rng(seed)
+    pairs = np.unique(np.sort(rng.integers(0, g.n, size=(6 * q, 2)), axis=1), axis=0)
+    pairs = [(u, v) for u, v in pairs.tolist() if u != v and not g.has_edge(u, v)]
+    return g.add_edges(pairs[: 3 * q])
+
+
+@pytest.mark.parametrize("block,ratio", [
+    (c4lab.plane._BLOCK_SIZE, 0), (c4lab.plane._BLOCK_SIZE, 10**9), (40, 0), (40, 10**9),
+])
+def test_both_reductions_list_the_upper_codegrees(monkeypatch, block, ratio):
+    monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", block)
+    monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
+    g = perturbed_er_graph(4, 0)
+    codeg = np.triu(dense_codegrees(g), 1)
+    i_ref, x_ref = np.nonzero(codeg)
+    listed = [
+        _listing(lo, g.n, codes, c)
+        for lo, _, codes, c in _codegree_blocks(
+            g.indptr, g.indices, g.indptr, g.indices, np.arange(g.n)
+        )
+    ]
+    if block == 40:
+        assert len(listed) > 1
+    i, x, c = (np.concatenate(part) for part in zip(*listed))
+    assert i.tolist() == i_ref.tolist()
+    assert x.tolist() == x_ref.tolist()
+    assert c.tolist() == codeg[i_ref, x_ref].tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_count_matches_dense_codegrees(monkeypatch, q):
+    g = perturbed_er_graph(q, q)
+    codeg = np.triu(dense_codegrees(g), 1)
+    expected = int(np.sum(codeg * (codeg - 1) // 2)) // 2
+    assert codeg.max() >= 2
+    assert count_c4(g) == expected
+    for ratio in (0, 10**9):
+        monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
+        assert count_c4(g) == expected
+
+
+def test_counts_and_passing_audits_list_no_pairs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pair listing requested")
+
+    monkeypatch.setattr(c4lab.graph, "_listing", refuse)
+    monkeypatch.setattr(c4lab.plane, "_listing", refuse)
+    pg = er_graph(16)
+    for ratio in (0, 10**9):
+        monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
+        assert count_c4(pg.graph) == 0 and is_c4_free(pg.graph)
+        assert count_c4(perturbed_er_graph(16, 1)) > 0
+        assert verify_projective_plane(pg.polarity.plane).ok
 
 
 def test_sparse_graph_at_the_vertex_limit():
@@ -332,6 +407,12 @@ class TestC4ThroughEdge:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError, match="not an edge"):
             c4_through_edge(petersen(), 0, 2)
+
+    def test_endpoint_out_of_range_rejected(self):
+        g = petersen()
+        for u, v in ((g.n, 0), (0, g.n), (-1, 4)):
+            with pytest.raises(ValueError, match="endpoint out of range"):
+                c4_through_edge(g, u, v)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force_enumeration(self, seed):

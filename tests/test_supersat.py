@@ -15,7 +15,9 @@ from c4lab.graph import c4_through_edge, count_c4, from_edges
 from c4lab.polarity import PolarityGraph
 from c4lab.supersat import (
     ExperimentReport,
+    _bernoulli_additions,
     _cycle_partition,
+    _rng,
     add_edge_experiment,
     classify_perturbation,
     er_graph,
@@ -297,6 +299,30 @@ class TestRandomSupersat:
         assert abs(r.measured["x_mean"] - 200) <= 5 * sigma / 5**0.5
         assert r.measured["y_per_trial"] == [None] * 5
         assert "all_y_within_budget" not in r.verdicts
+
+    @pytest.mark.parametrize("q", [4, 8, 16])
+    def test_block_draws_match_per_row_draws(self, monkeypatch, q):
+        def per_row(pg, alpha, rng):
+            # the reference: one Generator.random call per row
+            g = pg.graph
+            row = np.zeros(g.n, dtype=bool)
+            added = []
+            for u in range(g.n - 1):
+                row[:] = False
+                row[g.neighbors(u)] = True
+                cand = np.flatnonzero(~row[u + 1 :]) + u + 1
+                added += [(u, h) for h in cand[rng.random(len(cand)) < alpha].tolist()]
+            return added
+
+        pg = er_graph(q)
+        # about 20 hits per trial
+        alpha = 40 / (pg.n * (pg.n - 1) - 2 * pg.graph.m)
+        for block in (c4lab.supersat._DRAW_BLOCK, 7):
+            monkeypatch.setattr(c4lab.supersat, "_DRAW_BLOCK", block)
+            for seed in range(4):
+                expected = per_row(pg, alpha, _rng(seed, 1))
+                assert expected
+                assert _bernoulli_additions(pg, alpha, _rng(seed, 1)) == expected
 
     def test_errors(self):
         with pytest.raises(ValueError, match="exceeds"):
