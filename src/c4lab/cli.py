@@ -24,7 +24,13 @@ from .extremal import (
 )
 from .field import spec_for_order
 from .graph import count_c4, graph_stats, neighborhood_family, read_edge_list, write_edge_list
-from .plane import build_pg2, read_incidence, verify_projective_plane, write_incidence
+from .plane import (
+    _infer_order,
+    build_pg2,
+    read_incidence,
+    verify_projective_plane,
+    write_incidence,
+)
 from .polarity import (
     orthogonal_polarity,
     polarity_graph,
@@ -178,8 +184,6 @@ def _cmd_turan_bounds(args):
     q = args.q
     if q is None:
         # n of the form q^2 + q + 1 pins q
-        from .plane import _infer_order
-
         q = _infer_order(args.n)
     if q is not None and q not in FUREDI_EXCLUDED:
         try:

@@ -114,64 +114,55 @@ def _edge_codes(n: int, edges) -> np.ndarray:
     return np.minimum(arr[:, 0], arr[:, 1]) * n + np.maximum(arr[:, 0], arr[:, 1])
 
 
-def _from_codes(n: int, codes: np.ndarray) -> Graph:
-    """The Graph whose edges have the given sorted, distinct codes."""
+def from_edges(n: int, edges) -> Graph:
+    """Build a Graph from an edge iterable, deduplicating and validating.
+
+    Loops and endpoints outside [0, n) are rejected.
+    """
+    codes = np.unique(_edge_codes(n, edges))
     lo, hi = np.divmod(codes, n)
     keys = np.sort(np.concatenate([codes, hi * n + lo]))
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     return Graph(n, indptr, (keys % n).astype(np.int32))
 
 
-def from_edges(n: int, edges) -> Graph:
-    """Build a Graph from an edge iterable, deduplicating and validating.
+def _neighborhoods(g: Graph, vertices: np.ndarray) -> IncidenceStructure:
+    """The family {N(v) : v in vertices} on the points of g, one line per vertex.
 
-    Loops and endpoints outside [0, n) are rejected.
+    Its point degrees are |N(w) ∩ X| for every w, and two of its lines meet
+    exactly when their vertices share a neighbour.
     """
-    return _from_codes(n, np.unique(_edge_codes(n, edges)))
-
-
-def _pair_moments(g: Graph, subset: np.ndarray | None = None):
-    """Exact codegree statistics over unordered pairs u < v.
-
-    Pairs range over ``subset`` when given (sorted, distinct), while common
-    neighbours always range over all vertices.  Returns (sum of
-    C(codegree, 2), number of pairs with codegree >= 1, per-vertex count of
-    partners v != u with codegree >= 1).
-    """
-    rows = np.arange(g.n) if subset is None else subset
-    if subset is not None:
-        position = np.full(g.n, -1, dtype=np.int64)
-        position[subset] = np.arange(len(subset))
-    sum_choose2 = covered_pairs = 0
-    covered_with = np.zeros(len(rows), dtype=np.int64)
-    blocks = _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices, rows)
-    for lo, hi, codes, c in blocks:
-        if codes is None:
-            # a dense block is the matrix of its rows' codegrees
-            block = c.reshape(hi - lo, g.n)
-            if subset is not None:
-                block = block[:, subset]
-            covered = block != 0
-            covered_with[lo:hi] += np.count_nonzero(covered, axis=1)
-            covered_with += np.count_nonzero(covered, axis=0)
-            c = block.ravel()
-        else:
-            i, x, c = _listing(lo, g.n, codes, c)
-            if subset is not None:
-                # keep the partners inside the subset, numbered by position
-                x = position[x]
-                inside = x >= 0
-                i, x, c = i[inside], x[inside], c[inside]
-            covered_with += np.bincount(i, minlength=len(rows))
-            covered_with += np.bincount(x, minlength=len(rows))
-        sum_choose2 += int(np.dot(c, c) - c.sum()) // 2
-        covered_pairs += np.count_nonzero(c)
-    return sum_choose2, covered_pairs, covered_with
+    sizes = g.indptr[vertices + 1] - g.indptr[vertices]
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    return IncidenceStructure._from_csr(g.n, ptr, g.indices[_ranges(g.indptr[vertices], sizes)])
 
 
 def _blocks(g: Graph):
     """The kernel's codegree blocks over every vertex of g."""
-    return _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices, np.arange(g.n))
+    return _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices)
+
+
+def _pair_moments(g: Graph):
+    """Exact codegree statistics over unordered pairs u < v.
+
+    Returns (sum of C(codegree, 2), number of pairs with codegree >= 1,
+    per-vertex count of partners v != u with codegree >= 1).
+    """
+    sum_choose2 = covered_pairs = 0
+    covered_with = np.zeros(g.n, dtype=np.int64)
+    for lo, hi, codes, c in _blocks(g):
+        if codes is None:
+            # a dense block is the matrix of its rows' codegrees
+            covered = c.reshape(hi - lo, g.n) != 0
+            covered_with[lo:hi] += np.count_nonzero(covered, axis=1)
+            covered_with += np.count_nonzero(covered, axis=0)
+        else:
+            i, x, _ = _listing(lo, g.n, codes, c)
+            covered_with += np.bincount(i, minlength=g.n)
+            covered_with += np.bincount(x, minlength=g.n)
+        sum_choose2 += int(np.dot(c, c) - c.sum()) // 2
+        covered_pairs += np.count_nonzero(c)
+    return sum_choose2, covered_pairs, covered_with
 
 
 def _has_c4(g: Graph) -> bool:
@@ -181,6 +172,8 @@ def _has_c4(g: Graph) -> bool:
 
 def codegree(g: Graph, u: int, v: int) -> int:
     """Number of common neighbours of two distinct vertices (sorted merge)."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError("vertex out of range")
     if u == v:
         raise ValueError("codegree requires two distinct vertices")
     return len(np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True))
@@ -336,13 +329,13 @@ def claim_c4_inequality(g: Graph, a_set) -> dict:
     a = np.unique(np.asarray(list(a_set), dtype=np.int64))
     if len(a) and (a[0] < 0 or a[-1] >= g.n):
         raise ValueError("A contains a vertex outside the graph")
-    in_a = np.zeros(g.n, dtype=bool)
-    in_a[a] = True
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-    nbrs_in_a = np.bincount(rows[in_a[g.indices]], minlength=g.n).astype(np.int64)
+    fam = _neighborhoods(g, a)
+    nbrs_in_a = fam.point_degrees().astype(np.int64)
     p2_a = int(np.sum(nbrs_in_a * (nbrs_in_a - 1) // 2))
     pairs_a = len(a) * (len(a) - 1) // 2
-    up_a = pairs_a - _pair_moments(g, subset=a)[1]
+    # two members of A share a neighbour exactly when their lines meet
+    blocks = _codegree_blocks(fam.line_ptr, fam.line_idx, *fam._transpose())
+    up_a = pairs_a - int(sum(np.count_nonzero(c) for *_, c in blocks))
     lhs = 2 * count_c4(g)
     rhs = p2_a + up_a - pairs_a
     return {
@@ -378,15 +371,10 @@ def neighborhood_family(g: Graph, q: int, delta: float = 0.25) -> NeighborhoodFa
         raise ValueError("delta must be positive")
     degs = g.degrees().astype(np.int64)
     s_idx = np.flatnonzero(degs <= q)
-    in_s = np.zeros(g.n, dtype=bool)
-    in_s[s_idx] = True
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), degs)
-    nbrs_in_s = np.bincount(rows[in_s[g.indices]], minlength=g.n)
-    b_idx = np.flatnonzero(nbrs_in_s >= delta * q)
-    in_b = np.zeros(g.n, dtype=bool)
-    in_b[b_idx] = True
-    a_idx = np.flatnonzero((degs == q + 1) & ~in_b)
-    fam = IncidenceStructure(g.n, [g.neighbors(int(x)) for x in a_idx])
+    many = _neighborhoods(g, s_idx).point_degrees() >= delta * q
+    b_idx = np.flatnonzero(many)
+    a_idx = np.flatnonzero((degs == q + 1) & ~many)
+    fam = _neighborhoods(g, a_idx)
     ok, witness = is_one_intersecting(fam)
     return NeighborhoodFamily(
         s=s_idx,

@@ -73,7 +73,8 @@ class IncidenceStructure:
             rows = np.repeat(
                 np.arange(self.n_lines, dtype=np.int32), np.diff(self.line_ptr)
             )
-            order = np.lexsort((rows, self.line_idx))
+            # the rows already ascend, so a stable sort keeps each point's lines sorted
+            order = np.argsort(self.line_idx, kind="stable")
             self._p2l = (ptr, rows[order])
         return self._p2l
 
@@ -229,15 +230,15 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
 
-def _codegree_blocks(ptr, idx, back_ptr, back_idx, rows: np.ndarray):
-    """Yield (lo, hi, codes, c) covering the sorted source rows[lo:hi] in turn.
+def _codegree_blocks(ptr, idx, back_ptr, back_idx):
+    """Yield (lo, hi, codes, c) covering the source rows lo:hi in turn.
 
     A wedge s -> w -> x takes w from row s of (ptr, idx) and x from row w of
     (back_ptr, back_idx), both with sorted rows: for a simple graph both are
     its CSR, for an incidence structure one is the transpose of the other.
     Sources and ends are then alike, the codegree matrix is symmetric, and
-    only its upper triangle is counted: the wedges rows[i] -> w -> x with
-    x > rows[i].  The pair (rows[i], x) has the block code (i - lo)*n_cols + x
+    only its upper triangle is counted: the wedges s -> w -> x with x > s,
+    over every row s.  The pair (s, x) has the block code (s - lo)*n_cols + x
     with n_cols = len(ptr) - 1.  A block holds at most _BLOCK_SIZE wedges (a
     single row may exceed this) and comes in the form it was counted in:
     ``codes`` is None and ``c`` is the dense bincount of all (hi - lo)*n_cols
@@ -251,21 +252,19 @@ def _codegree_blocks(ptr, idx, back_ptr, back_idx, rows: np.ndarray):
     keys = np.repeat(np.arange(len(back_ptr) - 1), np.diff(back_ptr)) * n_cols
     keys += back_idx
     through = np.concatenate([[0], np.cumsum(np.diff(back_ptr)[idx])])
-    per_row = through[ptr[rows + 1]] - through[ptr[rows]]
-    reach = np.concatenate([[0], np.cumsum(per_row)])
+    reach = through[ptr]  # the wedges before each row
     max_rows = max(1, _BLOCK_SIZE // max(1, n_cols))
     lo = 0
-    while lo < len(rows):
+    while lo < n_cols:
         # bound the block by all its wedges, upper or not
         hi = int(np.searchsorted(reach, reach[lo] + _BLOCK_SIZE, side="right")) - 1
         hi = max(hi, lo + 1)
         sparse = int(reach[hi] - reach[lo]) * _SPARSE_RATIO < (hi - lo) * n_cols
         if not sparse:
             hi = min(hi, lo + max_rows)
-        sources = rows[lo:hi]
-        n_mid = ptr[sources + 1] - ptr[sources]
-        mids = idx[_ranges(ptr[sources], n_mid)].astype(np.int64)
-        own_keys = mids * n_cols + np.repeat(sources, n_mid)
+        n_mid = np.diff(ptr[lo : hi + 1])
+        mids = idx[ptr[lo] : ptr[hi]].astype(np.int64)
+        own_keys = mids * n_cols + np.repeat(np.arange(lo, hi), n_mid)
         first = np.searchsorted(keys, own_keys, side="right")
         n_end = back_ptr[mids + 1] - first
         ends = back_idx[_ranges(first, n_end)]
@@ -321,7 +320,7 @@ def _one_meet_audit(ptr, idx, back_ptr, back_idx):
     that pair has i < j.
     """
     n = len(ptr) - 1
-    for lo, hi, codes, c in _codegree_blocks(ptr, idx, back_ptr, back_idx, np.arange(n)):
+    for lo, hi, codes, c in _codegree_blocks(ptr, idx, back_ptr, back_idx):
         left = n - 1 - np.arange(lo, hi)  # the pairs (r, j > r) of each row
         if np.count_nonzero(c) == left.sum() and c.max(initial=1) == 1:
             continue
@@ -541,8 +540,10 @@ def partial_symmetry_verify(m: np.ndarray, q: int) -> PartialSymmetryResult:
         raise ValueError(f"matrix must be {n} x {n} for order {q}")
     if not np.all((m == 0) | (m == 1)):
         raise ValueError("matrix entries must be 0 or 1")
-    rows_as_lines = IncidenceStructure(
-        n, [np.flatnonzero(m[i]) for i in range(n)]
+    # a 0/1 square matrix's rows are sorted, distinct, in-range point sets
+    sizes = np.count_nonzero(m, axis=1)
+    rows_as_lines = IncidenceStructure._from_csr(
+        n, np.concatenate([[0], np.cumsum(sizes)]), np.nonzero(m)[1].astype(np.int32)
     )
     verdict = verify_projective_plane(rows_as_lines)
     if not verdict.ok:

@@ -15,7 +15,7 @@ from math import isqrt
 import numpy as np
 
 from c4lab.field import FieldSpec, spec_for_order
-from c4lab.graph import Graph, _from_codes, _has_c4
+from c4lab.graph import Graph, _has_c4, _neighborhoods
 from c4lab.plane import ProjectivePlane, _ranges, build_pg2
 
 
@@ -142,9 +142,12 @@ def polarity_graph(pi: Polarity) -> PolarityGraph:
     a = len(absolute)
     m_pi = _m_pi_of(q, a)
 
-    # the codes of the upper triangle are already sorted and distinct
-    upper = rows < cols
-    g = _from_codes(pi.plane.n_points, rows[upper] * pi.plane.n_points + cols[upper])
+    # the verified matrix is symmetric, its rows and their points ascending,
+    # so its off-diagonal entries are the graph's CSR
+    n = pi.plane.n_points
+    off = rows != cols
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[off], minlength=n))])
+    g = Graph(n, indptr, cols[off].astype(np.int32))
 
     degs = g.degrees()
     expected = np.full(g.n, q + 1, dtype=np.int64)
@@ -168,8 +171,8 @@ def polarity_graph(pi: Polarity) -> PolarityGraph:
 def special_vertex_w(pg: PolarityGraph) -> int:
     """The unique non-absolute vertex adjacent to every degree-q vertex.
 
-    Exists for even orthogonal orders; found by exhaustive scan with a
-    uniqueness check.
+    Exists for even orthogonal orders; found by one pass over the
+    neighbourhoods of the degree-q vertices, with a uniqueness check.
     """
     if pg.q % 2 == 1:
         raise ValueError("odd order")
@@ -178,11 +181,9 @@ def special_vertex_w(pg: PolarityGraph) -> int:
     g = pg.graph
     degs = g.degrees()
     s_q = np.flatnonzero(degs == pg.q)
-    matches = [
-        v
-        for v in np.flatnonzero(degs == pg.q + 1)
-        if np.array_equal(g.neighbors(int(v)), s_q)
-    ]
+    # N(v) == S_q: degree q + 1 = |S_q| and every neighbour in S_q
+    in_s_q = _neighborhoods(g, s_q).point_degrees()
+    matches = np.flatnonzero((degs == pg.q + 1) & (degs == len(s_q)) & (in_s_q == degs))
     if len(matches) != 1:
         raise ValueError(f"not found / not unique: {len(matches)} candidates")
     return int(matches[0])

@@ -144,9 +144,7 @@ def test_both_reductions_list_the_upper_codegrees(monkeypatch, block, ratio):
     i_ref, x_ref = np.nonzero(codeg)
     listed = [
         _listing(lo, g.n, codes, c)
-        for lo, _, codes, c in _codegree_blocks(
-            g.indptr, g.indices, g.indptr, g.indices, np.arange(g.n)
-        )
+        for lo, _, codes, c in _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices)
     ]
     if block == 40:
         assert len(listed) > 1
@@ -198,7 +196,7 @@ def test_sparse_graph_at_the_vertex_limit():
     assert stats["covered_pairs"] == 5
     assert stats["sum_codegree_choose2"] == 2
     # so few wedges need one block, not a dense scan of n^2 entries
-    blocks = _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices, np.arange(n))
+    blocks = _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices)
     assert len(list(blocks)) == 1
 
 
@@ -310,6 +308,14 @@ class TestCodegree:
     def test_rejects_equal_vertices(self):
         with pytest.raises(ValueError, match="distinct"):
             codegree(petersen(), 3, 3)
+
+    def test_rejects_vertices_outside_the_graph(self):
+        g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert codegree(g, 3, 1) == 2
+        # -1 must not wrap to vertex 3, and 4 must not reach past the CSR
+        for u, v in [(-1, 1), (4, 1), (1, -1), (1, 4)]:
+            with pytest.raises(ValueError, match="out of range"):
+                codegree(g, u, v)
 
 
 KNOWN_COUNTS = [
@@ -525,6 +531,33 @@ class TestClaimInequality:
         with pytest.raises(ValueError, match="outside"):
             claim_c4_inequality(k(4), [0, 4])
 
+    @pytest.mark.parametrize("build", [
+        petersen, lambda: k(6), lambda: random_graph(20, 0.3, 7),
+        lambda: perturbed_er_graph(4, 2), lambda: from_edges(5, []),
+    ])
+    def test_whole_vertex_set_matches_up_p2_stats(self, build):
+        g = build()
+        st = up_p2_stats(g)
+        out = claim_c4_inequality(g, range(g.n))
+        assert out["p2_a"] == st["p2"]
+        assert out["up_a"] == st["up"]
+        assert out["a_pairs"] == st["n_pairs"]
+
+    def test_subset_with_isolated_vertices(self):
+        # the 4-cycle 0-1-2-3, the edge 4-5, and isolated vertices 6 and 7
+        g = from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
+        out = claim_c4_inequality(g, [7, 0, 6, 2])
+        # 1 and 3 each have both 0 and 2 as neighbours in A
+        assert out["p2_a"] == 2
+        # of the six pairs in A only (0, 2) has a common neighbour
+        assert out["up_a"] == 5 and out["a_pairs"] == 6
+        assert out["lhs"] == 2 and out["rhs"] == 1 and out["holds"]
+        assert all(type(out[key]) is int for key in ("lhs", "rhs", "p2_a", "up_a", "a_pairs"))
+        assert type(out["holds"]) is bool
+        st = up_p2_stats(g)
+        whole = claim_c4_inequality(g, range(8))
+        assert (whole["p2_a"], whole["up_a"]) == (st["p2"], st["up"])
+
     @pytest.mark.parametrize("seed", [41, 42, 43, 44])
     def test_random_graphs_random_subsets(self, seed):
         rng = np.random.default_rng(seed)
@@ -580,6 +613,26 @@ class TestNeighborhoodFamily:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):
             neighborhood_family(petersen(), q=2, delta=0.0)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_family_matches_per_vertex_oracle(self, q):
+        g = er_graph(q).graph
+        rng = np.random.default_rng(q)
+        e = g.edges()
+        g = g.remove_edges(e[rng.choice(len(e), size=q, replace=False)])
+        degs = g.degrees()
+        sizes = []
+        for delta in (0.25, 1.0, 4.0):
+            nf = neighborhood_family(g, q, delta)
+            in_s = [int(np.sum(degs[g.neighbors(v)] <= q)) for v in range(g.n)]
+            assert nf.b.tolist() == [v for v in range(g.n) if in_s[v] >= delta * q]
+            oracle = IncidenceStructure(g.n, [g.neighbors(int(x)) for x in nf.a])
+            sizes.append(nf.size)
+            assert nf.family == oracle
+            assert nf.family.line_ptr.dtype == oracle.line_ptr.dtype
+            assert nf.family.line_idx.dtype == oracle.line_idx.dtype
+            assert (nf.one_intersecting, nf.witness) == is_one_intersecting(oracle)
+        assert max(sizes) > 0
 
 
 class TestConvexityBound:

@@ -1,5 +1,7 @@
 """Plane construction, axiom verification, family extension, and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,48 @@ def test_partial_symmetry_detects_asymmetric_labelling():
     assert res.is_plane
     assert not res.fully_symmetric and res.witness is not None
     assert not res.premise_holds  # generic shuffles break the band too
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_partial_symmetry_reads_rows_like_the_validating_constructor(q):
+    plane = build_pg2(FIELDS[q])
+    n = plane.n_points
+    m = np.zeros((n, n), dtype=np.int64)
+    for i, line in enumerate(plane.lines()):
+        m[i, line] = 1
+    rng = np.random.default_rng(q)
+    broken = m.copy()
+    broken[0] = 0
+    broken[0, : q + 1] = 1  # line 0 becomes the first q + 1 points
+    for mat in (m, m[rng.permutation(n)], m[rng.permutation(n)], broken):
+        oracle = verify_projective_plane(
+            IncidenceStructure(n, [np.flatnonzero(row) for row in mat])
+        )
+        if oracle.ok:
+            res = partial_symmetry_verify(mat, q)
+            assert res.is_plane
+            assert res.fully_symmetric == bool(np.array_equal(mat, mat.T))
+        else:
+            with pytest.raises(ValueError, match=re.escape(oracle.detail)):
+                partial_symmetry_verify(mat, q)
+
+
+def test_transpose_matches_lexsort_oracle():
+    rng = np.random.default_rng(11)
+    structures = [build_pg2(FIELDS[q]) for q in (2, 3, 4, 5)]
+    for _ in range(40):
+        n = int(rng.integers(1, 15))
+        structures.append(IncidenceStructure(n, [
+            rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            for _ in range(int(rng.integers(0, 12)))
+        ]))
+    for s in structures:
+        rows = np.repeat(np.arange(s.n_lines, dtype=np.int32), s.line_sizes())
+        order = np.lexsort((rows, s.line_idx))
+        ptr, idx = s._transpose()
+        assert idx.dtype == rows.dtype
+        assert np.array_equal(idx, rows[order])
+        assert np.array_equal(ptr, np.searchsorted(s.line_idx[order], np.arange(s.n_points + 1)))
 
 
 def test_partial_symmetry_rejects_non_plane():

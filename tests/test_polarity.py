@@ -1,5 +1,7 @@
 """Polarity verification and the structure of orthogonal polarity graphs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from c4lab.polarity import (
     verify_polarity,
     write_polarity,
 )
+from c4lab.supersat import er_graph
 
 
 def er(q: int):
@@ -154,6 +157,44 @@ class TestSpecialVertex:
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError, match="odd order"):
             special_vertex_w(er(3))
+
+    @staticmethod
+    def scan(g, q):
+        """The vertices whose neighbourhood is exactly S_q, one vertex at a time."""
+        degs = g.degrees()
+        s_q = np.flatnonzero(degs == q)
+        return [
+            int(v)
+            for v in np.flatnonzero(degs == q + 1)
+            if np.array_equal(g.neighbors(int(v)), s_q)
+        ]
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
+    def test_matches_per_vertex_scan(self, q):
+        pg = er_graph(q)
+        w = special_vertex_w(pg)
+        assert self.scan(pg.graph, q) == [w]
+        # w no longer matches once it loses the edge to its first neighbour
+        cut = replace(pg, graph=pg.graph.remove_edges([(w, int(pg.graph.neighbors(w)[0]))]))
+        assert self.scan(cut.graph, q) == []
+        with pytest.raises(ValueError, match="not found"):
+            special_vertex_w(cut)
+        # an edge away from w and S_q = N(w): S_q gains its ends and still holds N(w)
+        e = pg.graph.edges()
+        far = e[(pg.graph.degrees()[e].min(axis=1) == q + 1) & (e != w).all(axis=1)]
+        grown = replace(pg, graph=pg.graph.remove_edges(far[:1]))
+        assert len(np.flatnonzero(grown.graph.degrees() == q)) == q + 3
+        assert self.scan(grown.graph, q) == []
+        with pytest.raises(ValueError, match="not found"):
+            special_vertex_w(grown)
+
+    def test_csr_matches_from_edges(self):
+        for q in (2, 3, 4, 5, 7, 8, 9, 16):
+            g = er(q).graph
+            built = from_edges(g.n, g.edges())
+            for ours, theirs in ((g.indptr, built.indptr), (g.indices, built.indices)):
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs)
 
 
 class TestDegreeQIndependence:
