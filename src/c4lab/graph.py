@@ -99,12 +99,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _as_vertices(values) -> np.ndarray:
+    """The values as int64 vertices, rejecting any that is not an integer."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and infinities fail the check below
+        arr = raw.astype(np.int64, copy=False)
+    fractional = (arr != raw) & (raw.dtype.kind not in "biu")
+    if fractional.any():
+        raise ValueError(f"vertex {raw[fractional][0].item()!r} is not an integer")
+    return arr
+
+
 def _edge_codes(n: int, edges) -> np.ndarray:
     """The int64 code min(u, v)*n + max(u, v) of each edge, in input order.
 
-    Loops and endpoints outside [0, n) are rejected.
+    Loops and endpoints that are not integers in [0, n) are rejected.
     """
-    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    arr = _as_vertices(edges if isinstance(edges, np.ndarray) else list(edges))
     arr = arr.reshape(-1, 2)
     if np.any(arr < 0) or np.any(arr >= n):
         raise ValueError("edge endpoint out of range")
@@ -117,7 +128,7 @@ def _edge_codes(n: int, edges) -> np.ndarray:
 def from_edges(n: int, edges) -> Graph:
     """Build a Graph from an edge iterable, deduplicating and validating.
 
-    Loops and endpoints outside [0, n) are rejected.
+    Loops and endpoints that are not integers in [0, n) are rejected.
     """
     codes = np.unique(_edge_codes(n, edges))
     lo, hi = np.divmod(codes, n)
@@ -137,11 +148,6 @@ def _neighborhoods(g: Graph, vertices: np.ndarray) -> IncidenceStructure:
     return IncidenceStructure._from_csr(g.n, ptr, g.indices[_ranges(g.indptr[vertices], sizes)])
 
 
-def _blocks(g: Graph):
-    """The kernel's codegree blocks over every vertex of g."""
-    return _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices)
-
-
 def _pair_moments(g: Graph):
     """Exact codegree statistics over unordered pairs u < v.
 
@@ -150,7 +156,7 @@ def _pair_moments(g: Graph):
     """
     sum_choose2 = covered_pairs = 0
     covered_with = np.zeros(g.n, dtype=np.int64)
-    for lo, hi, codes, c in _blocks(g):
+    for lo, hi, codes, c in _codegree_blocks(g.indptr, g.indices):
         if codes is None:
             # a dense block is the matrix of its rows' codegrees
             covered = c.reshape(hi - lo, g.n) != 0
@@ -167,7 +173,7 @@ def _pair_moments(g: Graph):
 
 def _has_c4(g: Graph) -> bool:
     """Whether two distinct vertices have two common neighbours; stops at the first."""
-    return any(c.max(initial=0) >= 2 for *_, c in _blocks(g))
+    return any(c.max(initial=0) >= 2 for *_, c in _codegree_blocks(g.indptr, g.indices))
 
 
 def codegree(g: Graph, u: int, v: int) -> int:
@@ -195,7 +201,8 @@ def count_c4(g: Graph) -> int:
     """Exact number of 4-cycle subgraphs: half the sum of C(codegree, 2) over pairs."""
     _check_counting_limits(g)
     # each block adds sum C(c, 2) = (c.c - sum c) / 2 over its pairs
-    total = sum(int(np.dot(c, c) - c.sum()) // 2 for *_, c in _blocks(g))
+    blocks = _codegree_blocks(g.indptr, g.indices)
+    total = sum(int(np.dot(c, c) - c.sum()) // 2 for *_, c in blocks)
     if total % 2:
         raise AssertionError(f"codegree choose-2 mass {total} must be even")
     return total // 2
@@ -326,7 +333,7 @@ def claim_c4_inequality(g: Graph, a_set) -> dict:
     P2 ∩ A counts 2-paths whose two endpoints both lie in A (middles are
     unrestricted) and UP ∩ A counts uncovered pairs inside A.
     """
-    a = np.unique(np.asarray(list(a_set), dtype=np.int64))
+    a = np.unique(_as_vertices(list(a_set)))
     if len(a) and (a[0] < 0 or a[-1] >= g.n):
         raise ValueError("A contains a vertex outside the graph")
     fam = _neighborhoods(g, a)
@@ -334,7 +341,7 @@ def claim_c4_inequality(g: Graph, a_set) -> dict:
     p2_a = int(np.sum(nbrs_in_a * (nbrs_in_a - 1) // 2))
     pairs_a = len(a) * (len(a) - 1) // 2
     # two members of A share a neighbour exactly when their lines meet
-    blocks = _codegree_blocks(fam.line_ptr, fam.line_idx, *fam._transpose())
+    blocks = _codegree_blocks(fam.line_ptr, fam.line_idx)
     up_a = pairs_a - int(sum(np.count_nonzero(c) for *_, c in blocks))
     lhs = 2 * count_c4(g)
     rhs = p2_a + up_a - pairs_a

@@ -67,15 +67,7 @@ class IncidenceStructure:
 
     def _transpose(self) -> tuple[np.ndarray, np.ndarray]:
         if self._p2l is None:
-            deg = np.bincount(self.line_idx, minlength=self.n_points)
-            ptr = np.zeros(self.n_points + 1, dtype=np.int64)
-            np.cumsum(deg, out=ptr[1:])
-            rows = np.repeat(
-                np.arange(self.n_lines, dtype=np.int32), np.diff(self.line_ptr)
-            )
-            # the rows already ascend, so a stable sort keeps each point's lines sorted
-            order = np.argsort(self.line_idx, kind="stable")
-            self._p2l = (ptr, rows[order])
+            self._p2l = _transpose(self.line_ptr, self.line_idx, self.n_points)[:2]
         return self._p2l
 
     def point_lines(self, p: int) -> np.ndarray:
@@ -230,50 +222,61 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
 
-def _codegree_blocks(ptr, idx, back_ptr, back_idx):
-    """Yield (lo, hi, codes, c) covering the source rows lo:hi in turn.
+def _transpose(ptr, idx, n_cols):
+    """The transpose (back_ptr, back_idx) of a CSR with sorted rows, and ``twin``.
 
-    A wedge s -> w -> x takes w from row s of (ptr, idx) and x from row w of
-    (back_ptr, back_idx), both with sorted rows: for a simple graph both are
-    its CSR, for an incidence structure one is the transpose of the other.
-    Sources and ends are then alike, the codegree matrix is symmetric, and
-    only its upper triangle is counted: the wedges s -> w -> x with x > s,
-    over every row s.  The pair (s, x) has the block code (s - lo)*n_cols + x
-    with n_cols = len(ptr) - 1.  A block holds at most _BLOCK_SIZE wedges (a
-    single row may exceed this) and comes in the form it was counted in:
-    ``codes`` is None and ``c`` is the dense bincount of all (hi - lo)*n_cols
-    codes, zeros included, at most _BLOCK_SIZE entries; or, when its wedges
-    are much fewer than its dense entries, ``codes`` are the ascending codes
-    of the covered pairs and ``c`` their counts, all >= 1.  Sums and maxima
-    over ``c`` read either form alike; ``_listing`` gives the pairs.
+    The transpose has max(n_cols, max(idx) + 1) rows.  Entry k = (r, c)
+    sits at position twin[k] of row c of the transpose, so
+    back_idx[twin[k]] == r; the stable sort keeps the transposed rows sorted.
     """
-    n_cols = len(ptr) - 1
-    # the ends x > s of row w follow s in the sorted keys w * n_cols + x
-    keys = np.repeat(np.arange(len(back_ptr) - 1), np.diff(back_ptr)) * n_cols
-    keys += back_idx
-    through = np.concatenate([[0], np.cumsum(np.diff(back_ptr)[idx])])
-    reach = through[ptr]  # the wedges before each row
-    max_rows = max(1, _BLOCK_SIZE // max(1, n_cols))
+    order = np.argsort(idx, kind="stable")
+    back_ptr = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=n_cols))])
+    back_idx = np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr))[order]
+    twin = np.empty_like(order)
+    twin[order] = np.arange(len(order))
+    return back_ptr, back_idx, twin
+
+
+def _codegree_blocks(ptr, idx):
+    """Yield (lo, hi, codes, c) covering the rows lo:hi of one CSR in turn.
+
+    The CSR has sorted rows: a simple graph or the lines of an incidence
+    structure.  Rows s and x share as many columns as there are wedges
+    s -> w -> x, w in row s and x in row w of the transpose the kernel
+    derives.  Only the upper triangle x > s of this symmetric codegree matrix
+    is counted; those ends start one past the twin of the entry (s, w).  The
+    pair (s, x) has the block code (s - lo)*n + x with n = len(ptr) - 1.
+    A block holds at most _BLOCK_SIZE wedges (a single row may exceed this)
+    and comes in the form it was counted in: ``codes`` is None and ``c`` is
+    the dense bincount of all (hi - lo)*n codes, zeros included, at most
+    _BLOCK_SIZE entries; or, when its wedges are much fewer than its dense
+    entries, ``codes`` are the ascending codes of the covered pairs and ``c``
+    their counts, all >= 1.  Sums and maxima over ``c`` read either form
+    alike; ``_listing`` gives the pairs.
+    """
+    n = len(ptr) - 1
+    back_ptr, back_idx, twin = _transpose(ptr, idx, 0)
+    # the wedges before each row
+    reach = np.concatenate([[0], np.cumsum(np.diff(back_ptr)[idx])])[ptr]
+    max_rows = max(1, _BLOCK_SIZE // max(1, n))
     lo = 0
-    while lo < n_cols:
+    while lo < n:
         # bound the block by all its wedges, upper or not
         hi = int(np.searchsorted(reach, reach[lo] + _BLOCK_SIZE, side="right")) - 1
         hi = max(hi, lo + 1)
-        sparse = int(reach[hi] - reach[lo]) * _SPARSE_RATIO < (hi - lo) * n_cols
+        sparse = int(reach[hi] - reach[lo]) * _SPARSE_RATIO < (hi - lo) * n
         if not sparse:
             hi = min(hi, lo + max_rows)
         n_mid = np.diff(ptr[lo : hi + 1])
-        mids = idx[ptr[lo] : ptr[hi]].astype(np.int64)
-        own_keys = mids * n_cols + np.repeat(np.arange(lo, hi), n_mid)
-        first = np.searchsorted(keys, own_keys, side="right")
-        n_end = back_ptr[mids + 1] - first
+        first = twin[ptr[lo] : ptr[hi]] + 1
+        n_end = back_ptr[idx[ptr[lo] : ptr[hi]] + 1] - first
         ends = back_idx[_ranges(first, n_end)]
         src = np.repeat(np.repeat(np.arange(hi - lo), n_mid), n_end)
-        codes = src * n_cols + ends
+        codes = src * n + ends
         if sparse:
             yield lo, hi, *np.unique(codes, return_counts=True)
         else:
-            yield lo, hi, None, np.bincount(codes, minlength=(hi - lo) * n_cols)
+            yield lo, hi, None, np.bincount(codes, minlength=(hi - lo) * n)
         lo = hi
 
 
@@ -310,17 +313,15 @@ def _infer_order(n: int) -> int | None:
     return (s - 1) // 2
 
 
-def _one_meet_audit(ptr, idx, back_ptr, back_idx):
+def _one_meet_audit(ptr, idx):
     """Check that every two rows of a CSR share exactly one column.
 
-    (back_ptr, back_idx) is the transpose of (ptr, idx), so rows i and j
-    share as many columns as there are wedges i -> column -> j.  Returns
-    ``(True, None)`` or ``(False, (i, j, count))`` for the first violating
-    pair in row-major order (count 0 marks a missing pair).  By symmetry
-    that pair has i < j.
+    Returns ``(True, None)`` or ``(False, (i, j, count))`` for the first
+    violating pair in row-major order (count 0 marks a missing pair).  By
+    symmetry that pair has i < j.
     """
     n = len(ptr) - 1
-    for lo, hi, codes, c in _codegree_blocks(ptr, idx, back_ptr, back_idx):
+    for lo, hi, codes, c in _codegree_blocks(ptr, idx):
         left = n - 1 - np.arange(lo, hi)  # the pairs (r, j > r) of each row
         if np.count_nonzero(c) == left.sum() and c.max(initial=1) == 1:
             continue
@@ -383,7 +384,7 @@ def verify_projective_plane(s: IncidenceStructure) -> PlaneVerdict:
             witness=(p, int(degs[p])),
             detail=f"point {p} lies on {int(degs[p])} lines, expected {q + 1}",
         )
-    ok, witness = _one_meet_audit(s.line_ptr, s.line_idx, *s._transpose())
+    ok, witness = _one_meet_audit(s.line_ptr, s.line_idx)
     if not ok:
         i, j, count = witness
         return PlaneVerdict(
@@ -402,10 +403,7 @@ def is_one_intersecting(s: IncidenceStructure) -> tuple[bool, tuple | None]:
     Returns (True, None) or (False, (i, j, count)) for the first violating
     line pair (count 0 for disjoint lines, >= 2 for doubly meeting ones).
     """
-    L = s.n_lines
-    if L < 2:
-        return True, None
-    return _one_meet_audit(s.line_ptr, s.line_idx, *s._transpose())
+    return _one_meet_audit(s.line_ptr, s.line_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +442,7 @@ def extend_one_intersecting(
     n = h.n_points
     fam_lines: list[np.ndarray] = h.lines()
     fam_sets = {frozenset(int(p) for p in ln) for ln in fam_lines}
-    through: list[list[int]] = [[] for _ in range(n)]
-    for j, ln in enumerate(fam_lines):
-        for p in ln:
-            through[int(p)].append(j)
+    through = [h.point_lines(p).tolist() for p in range(n)]
 
     witnesses: dict[int, dict] = {}
     for pos, raw in enumerate(new_lines):

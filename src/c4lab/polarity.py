@@ -62,33 +62,35 @@ def orthogonal_polarity(spec: FieldSpec) -> Polarity:
     return Polarity(plane, np.arange(plane.n_points, dtype=np.int64))
 
 
-def _paired_incidences(pi: Polarity) -> tuple[np.ndarray, np.ndarray]:
-    """The entries (i, p) of the paired incidence matrix: p lies on line sigma(i).
+def _paired_incidences(pi: Polarity):
+    """Rows and columns of the paired incidence matrix, and its first asymmetry.
 
-    Rows come in ascending order, each with its points ascending; both are
-    int64, so codes i*n + j stay exact for every plane size.
+    Entry (i, p) means p lies on line sigma(i); rows ascend, each with its
+    points ascending, and so do the rows of the transpose, the entries sorted
+    by column with row and column swapped.  The two lists agree up to their
+    first mismatch, where the smaller entry is the first (i, p) in row-major
+    order whose mirror is missing (None when the matrix is symmetric).
     """
     ptr = pi.plane.line_ptr
     sizes = np.diff(ptr)[pi.sigma]
-    rows = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    cols = pi.plane.line_idx[_ranges(ptr[pi.sigma], sizes)].astype(np.int64)
-    return rows, cols
+    rows = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    cols = pi.plane.line_idx[_ranges(ptr[pi.sigma], sizes)]
+    order = np.argsort(cols, kind="stable")
+    differ = np.flatnonzero((rows != cols[order]) | (cols != rows[order]))
+    if len(differ) == 0:
+        return rows, cols, None
+    k, t = differ[0], order[differ[0]]
+    return rows, cols, min((int(rows[k]), int(cols[k])), (int(cols[t]), int(rows[t])))
 
 
 def verify_polarity(pi: Polarity) -> PolarityVerdict:
     """Pass iff the paired incidence matrix is symmetric.
 
-    On failure the witness is the first asymmetric entry (i, j) in row-major
-    order: the smallest code i*n + j present in exactly one of the matrix and
-    its transpose.
+    On failure the witness is the first entry (i, j) in row-major order that
+    is present in exactly one of the matrix and its transpose.
     """
-    n = pi.plane.n_points
-    rows, cols = _paired_incidences(pi)
-    asymmetric = np.setxor1d(rows * n + cols, cols * n + rows, assume_unique=True)
-    if len(asymmetric) == 0:
-        return PolarityVerdict(True, None)
-    i, j = divmod(int(asymmetric[0]), n)
-    return PolarityVerdict(False, (i, j))
+    witness = _paired_incidences(pi)[2]
+    return PolarityVerdict(witness is None, witness)
 
 
 @dataclass
@@ -133,12 +135,11 @@ def polarity_graph(pi: Polarity) -> PolarityGraph:
     Every structural invariant is asserted: degrees in {q, q+1} with degree q
     exactly at absolute points, the edge-count formula, and C4-freeness.
     """
-    verdict = verify_polarity(pi)
-    if not verdict.ok:
-        raise ValueError(f"not a polarity: asymmetric at {verdict.witness}")
+    rows, cols, witness = _paired_incidences(pi)
+    if witness is not None:
+        raise ValueError(f"not a polarity: asymmetric at {witness}")
     q = pi.q
-    rows, cols = _paired_incidences(pi)
-    absolute = rows[rows == cols]
+    absolute = rows[rows == cols].astype(np.int64)
     a = len(absolute)
     m_pi = _m_pi_of(q, a)
 
@@ -244,5 +245,7 @@ def read_polarity(path: str) -> Polarity:
         raise ValueError("missing `q <val>` header")
     q = int(lines[0].split()[1])
     sigma = [int(t) for t in lines[1:]]
+    if len(sigma) != q * q + q + 1:  # before a bad file costs a whole plane
+        raise ValueError(f"sigma must have length {q * q + q + 1}")
     plane = build_pg2(spec_for_order(q))
     return Polarity(plane, sigma)

@@ -144,7 +144,7 @@ def test_both_reductions_list_the_upper_codegrees(monkeypatch, block, ratio):
     i_ref, x_ref = np.nonzero(codeg)
     listed = [
         _listing(lo, g.n, codes, c)
-        for lo, _, codes, c in _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices)
+        for lo, _, codes, c in _codegree_blocks(g.indptr, g.indices)
     ]
     if block == 40:
         assert len(listed) > 1
@@ -196,7 +196,7 @@ def test_sparse_graph_at_the_vertex_limit():
     assert stats["covered_pairs"] == 5
     assert stats["sum_codegree_choose2"] == 2
     # so few wedges need one block, not a dense scan of n^2 entries
-    blocks = _codegree_blocks(g.indptr, g.indices, g.indptr, g.indices)
+    blocks = _codegree_blocks(g.indptr, g.indices)
     assert len(list(blocks)) == 1
 
 
@@ -221,6 +221,21 @@ class TestFromEdges:
             from_edges(3, [(0, 3)])
         with pytest.raises(ValueError, match="out of range"):
             from_edges(3, [(-1, 2)])
+
+    def test_rejects_fractional_vertices(self):
+        with pytest.raises(ValueError, match=r"^vertex 0\.5 is not an integer$"):
+            from_edges(4, [(0.5, 1.7), (2, 3.9)])
+        for bad in (np.array([[0.0, 2.5]]), np.array([[1, np.nan]]), np.array([[0, np.inf]])):
+            with pytest.raises(ValueError, match="is not an integer"):
+                from_edges(4, bad)
+
+    @pytest.mark.parametrize("dtype", [
+        np.int8, np.int32, np.int64, np.uint8, np.uint64, np.float32, np.float64,
+    ])
+    def test_accepts_integer_values_of_any_numeric_dtype(self, dtype):
+        edges = np.array([(1, 0), (2, 3)], dtype=dtype)
+        assert same_csr(from_edges(4, edges), from_edges(4, [(0, 1), (2, 3)]))
+        assert same_csr(from_edges(4, [(1.0, 0), (2, 3.0)]), from_edges(4, edges))
 
     def test_empty_graph(self):
         g = from_edges(5, [])
@@ -292,6 +307,15 @@ class TestMutation:
         with pytest.raises(ValueError, match="out of range"):
             g.remove_edges([(0, 10)])
 
+    def test_fractional_vertices_are_rejected(self):
+        g = petersen()
+        with pytest.raises(ValueError, match=r"^vertex 2\.5 is not an integer$"):
+            g.add_edges([(0, 2.5)])
+        with pytest.raises(ValueError, match=r"^vertex 0\.5 is not an integer$"):
+            g.remove_edges(np.array([[0.5, 1.0]]))
+        assert same_csr(g.add_edges([(0.0, 2.0)]), g.add_edges([(0, 2)]))
+        assert same_csr(g.remove_edges(np.array([[1.0, 0.0]])), g.remove_edges([(0, 1)]))
+
 
 # ---------------------------------------------------------------------------
 # codegree and counting
@@ -360,13 +384,13 @@ class TestCountC4:
             count_c4(from_edges((1 << 17) + 1, []))
 
     def test_parity_invariant_survives_optimize(self):
-        # a hand-built asymmetric CSR: 0 -> {2, 3} and 2, 3 -> {1}, so the
-        # pair (0, 1) has codegree 2 in one direction only
+        # a hand-built asymmetric CSR: 0, 1 -> {2, 3} and rows 2, 3 empty, so
+        # the pair (0, 1) has codegree 2 and the upper mass C(2, 2) is odd
         result = run_python(
             "-O",
             "-c",
             "import numpy as np; from c4lab.graph import Graph, count_c4; "
-            "count_c4(Graph(4, np.array([0, 2, 2, 3, 4]), np.array([2, 3, 1, 1])))",
+            "count_c4(Graph(4, np.array([0, 2, 4, 4, 4]), np.array([2, 3, 2, 3])))",
         )
         assert result.returncode != 0
         assert "AssertionError: codegree choose-2 mass 1 must be even" in result.stderr
@@ -530,6 +554,14 @@ class TestClaimInequality:
     def test_out_of_range_subset(self):
         with pytest.raises(ValueError, match="outside"):
             claim_c4_inequality(k(4), [0, 4])
+
+    def test_fractional_subset(self):
+        cycle = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError, match=r"^vertex 0\.5 is not an integer$"):
+            claim_c4_inequality(cycle, [0.5, 2.7])
+        whole = claim_c4_inequality(cycle, [0, 2])
+        assert claim_c4_inequality(cycle, np.array([0.0, 2.0])) == whole
+        assert claim_c4_inequality(cycle, np.array([0, 2], dtype=np.uint8)) == whole
 
     @pytest.mark.parametrize("build", [
         petersen, lambda: k(6), lambda: random_graph(20, 0.3, 7),

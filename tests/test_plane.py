@@ -5,10 +5,14 @@ import re
 import numpy as np
 import pytest
 
+import c4lab.plane
 from c4lab.field import FieldSpec
 from c4lab.plane import (
     IncidenceStructure,
+    _codegree_blocks,
+    _listing,
     _one_meet_audit,
+    _transpose,
     build_pg2,
     verify_projective_plane,
     is_one_intersecting,
@@ -41,7 +45,7 @@ def test_pg2_satisfies_all_axioms(q):
     shuffled = IncidenceStructure(plane.n_points, [lines[i] for i in order])
     for s in (plane, shuffled):
         assert verify_projective_plane(s).ok
-        assert _one_meet_audit(*s._transpose(), s.line_ptr, s.line_idx) == (True, None)
+        assert _one_meet_audit(*s._transpose()) == (True, None)
 
 
 def test_triple_indexing_roundtrip():
@@ -161,7 +165,7 @@ def test_audit_witnesses_match_dense_products(q):
         assert is_one_intersecting(s) == (False, line_ref)
         # the pair-coverage audit, which verify_projective_plane no longer
         # runs: lines meeting once already force it
-        assert _one_meet_audit(*s._transpose(), s.line_ptr, s.line_idx) == (
+        assert _one_meet_audit(*s._transpose()) == (
             False,
             _first_bad_pair(inc.T),
         )
@@ -196,6 +200,17 @@ def test_extend_certifies_larger_orders():
     )
     assert extended.line_set() == plane.line_set()
     assert set(witnesses) == {0, 1}
+    # the first point of each new line, ascending, that carries q family
+    # lines meeting the new line only there, and the first q of those lines
+    lines = [set(ln.tolist()) for ln in kept]
+    for pos, drop in enumerate((5, 40)):
+        f = set(plane.line(drop).tolist())
+        for u in sorted(f):
+            only_u = [j for j, ln in enumerate(lines) if ln & f == {u}]
+            if len(only_u) >= 8:
+                break
+        assert witnesses[pos] == {"point": u, "through": tuple(only_u[:8])}
+        lines.append(f)
 
 
 def test_extend_raises_without_witness_sunflower():
@@ -275,7 +290,9 @@ def test_partial_symmetry_reads_rows_like_the_validating_constructor(q):
                 partial_symmetry_verify(mat, q)
 
 
-def test_transpose_matches_lexsort_oracle():
+def transpose_structures():
+    """PG(2, q <= 5) and 40 seeded structures whose lines differ in number from
+    the points, with empty lines and unused points among them."""
     rng = np.random.default_rng(11)
     structures = [build_pg2(FIELDS[q]) for q in (2, 3, 4, 5)]
     for _ in range(40):
@@ -284,13 +301,48 @@ def test_transpose_matches_lexsort_oracle():
             rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
             for _ in range(int(rng.integers(0, 12)))
         ]))
+    return structures
+
+
+def test_transpose_matches_lexsort_oracle():
+    structures = transpose_structures()
+    assert any(s.n_lines != s.n_points for s in structures)
+    assert any(0 in s.line_sizes() for s in structures)
+    assert any(0 in s.point_degrees() for s in structures)
     for s in structures:
         rows = np.repeat(np.arange(s.n_lines, dtype=np.int32), s.line_sizes())
         order = np.lexsort((rows, s.line_idx))
-        ptr, idx = s._transpose()
-        assert idx.dtype == rows.dtype
-        assert np.array_equal(idx, rows[order])
-        assert np.array_equal(ptr, np.searchsorted(s.line_idx[order], np.arange(s.n_points + 1)))
+        ref_ptr = np.searchsorted(s.line_idx[order], np.arange(s.n_points + 1))
+        back_ptr, back_idx, twin = _transpose(s.line_ptr, s.line_idx, s.n_points)
+        for ptr, idx in ((back_ptr, back_idx), s._transpose()):
+            assert idx.dtype == rows.dtype
+            assert np.array_equal(idx, rows[order])
+            assert np.array_equal(ptr, ref_ptr)
+        # entry k = (row, point) sits at position twin[k] of the point's row
+        assert np.array_equal(back_idx[twin], rows)
+        assert np.all((back_ptr[s.line_idx] <= twin) & (twin < back_ptr[s.line_idx + 1]))
+
+
+@pytest.mark.parametrize("block,ratio", [
+    (c4lab.plane._BLOCK_SIZE, 0), (c4lab.plane._BLOCK_SIZE, 10**9), (40, 0), (40, 10**9),
+])
+def test_codegree_blocks_of_non_square_structures(monkeypatch, block, ratio):
+    monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", block)
+    monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
+    for s in transpose_structures():
+        inc = np.zeros((s.n_lines, s.n_points), dtype=np.int64)
+        for i, ln in enumerate(s.lines()):
+            inc[i, ln] = 1
+        codeg = np.triu(inc @ inc.T, 1)
+        i_ref, x_ref = np.nonzero(codeg)
+        listed = [
+            _listing(lo, s.n_lines, codes, c)
+            for lo, _, codes, c in _codegree_blocks(s.line_ptr, s.line_idx)
+        ]
+        i, x, c = (np.concatenate(part) for part in zip(*listed)) if listed else ([], [], [])
+        assert list(i) == i_ref.tolist()
+        assert list(x) == x_ref.tolist()
+        assert list(c) == codeg[i_ref, x_ref].tolist()
 
 
 def test_partial_symmetry_rejects_non_plane():

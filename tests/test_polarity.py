@@ -5,11 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import c4lab.polarity
+from c4lab.cli import cli_dispatch
 from c4lab.field import FieldSpec, spec_for_order
 from c4lab.graph import count_c4, from_edges
 from c4lab.plane import ProjectivePlane, build_pg2, index_of_triple
 from c4lab.polarity import (
     Polarity,
+    PolarityVerdict,
     degree_q_independence,
     lambda_lower,
     orthogonal_polarity,
@@ -24,6 +27,21 @@ from c4lab.supersat import er_graph
 
 def er(q: int):
     return polarity_graph(orthogonal_polarity(spec_for_order(q)))
+
+
+def setxor_verify_polarity(pi: Polarity) -> PolarityVerdict:
+    """The smallest code i*n + j present in exactly one of the paired incidence
+    matrix and its transpose, found by a symmetric difference of the codes."""
+    n = pi.plane.n_points
+    ptr = pi.plane.line_ptr
+    sizes = np.diff(ptr)[pi.sigma]
+    rows = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    cols = np.concatenate([pi.plane.line(int(s)) for s in pi.sigma]).astype(np.int64)
+    asymmetric = np.setxor1d(rows * n + cols, cols * n + rows, assume_unique=True)
+    if len(asymmetric) == 0:
+        return PolarityVerdict(True, None)
+    i, j = divmod(int(asymmetric[0]), n)
+    return PolarityVerdict(False, (i, j))
 
 
 class TestVerifyPolarity:
@@ -73,6 +91,23 @@ class TestVerifyPolarity:
             if not verify_polarity(Polarity(pi.plane, sigma)).ok:
                 found_failure = True
         assert found_failure
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_matches_the_symmetric_difference_oracle(self, q):
+        pi = orthogonal_polarity(spec_for_order(q))
+        n = pi.plane.n_points
+        rng = np.random.default_rng(q)
+        sigmas = [pi.sigma] + [rng.permutation(n) for _ in range(30)]
+        for swaps in [1] * 10 + [2] * 20:
+            sigma = pi.sigma.copy()
+            for _ in range(swaps):
+                a, b = rng.choice(n, size=2, replace=False)
+                sigma[[a, b]] = sigma[[b, a]]
+            sigmas.append(sigma)
+        verdicts = [verify_polarity(Polarity(pi.plane, sigma)) for sigma in sigmas]
+        assert verdicts[0].ok and sum(not v.ok for v in verdicts) >= 50
+        for sigma, verdict in zip(sigmas, verdicts):
+            assert verdict == setxor_verify_polarity(Polarity(pi.plane, sigma))
 
     def test_rejects_non_permutation(self):
         pi = orthogonal_polarity(spec_for_order(2))
@@ -238,6 +273,17 @@ class TestSerialization:
         text = path.read_text().splitlines()
         assert text[0] == "q 2"
         assert len(text) == 8
+
+    def test_short_sigma_is_rejected_before_the_plane_is_built(self, tmp_path, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("plane built")
+
+        monkeypatch.setattr(c4lab.polarity, "build_pg2", refuse)
+        path = tmp_path / "short.pol"
+        path.write_text("q 64\n0\n")
+        with pytest.raises(ValueError, match="sigma must have length 4161"):
+            read_polarity(str(path))
+        assert cli_dispatch(["polarity", "verify", "--in", str(path)]) == 3
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.pol"
