@@ -68,11 +68,18 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
 
 
-def _read_graph(args):
+def _read(reader, path, **kwargs):
+    """Parse an input file; malformed content is an I/O error (exit 3)."""
     try:
-        return read_edge_list(args.in_path, n=args.n)
+        return reader(path, **kwargs)
     except ValueError as exc:
         raise _ContentError(str(exc)) from exc
+
+
+def _vertex_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _edge(text: str) -> tuple[int, int]:
@@ -97,11 +104,7 @@ def _cmd_plane_build(args):
 
 
 def _cmd_plane_verify(args):
-    try:
-        s = read_incidence(args.in_path)
-    except ValueError as exc:
-        raise _ContentError(str(exc)) from exc
-    v = verify_projective_plane(s)
+    v = verify_projective_plane(_read(read_incidence, args.in_path))
     payload = {
         "ok": v.ok, "order": v.order, "axiom": v.axiom,
         "witness": v.witness, "detail": v.detail,
@@ -117,11 +120,7 @@ def _cmd_polarity_build(args):
 
 
 def _cmd_polarity_verify(args):
-    try:
-        pi = read_polarity(args.in_path)
-    except ValueError as exc:
-        raise _ContentError(str(exc)) from exc
-    v = verify_polarity(pi)
+    v = verify_polarity(_read(read_polarity, args.in_path))
     payload = {"ok": v.ok, "witness": v.witness}
     summary = "pairing is symmetric" if v.ok else f"asymmetric at {v.witness}"
     return (0 if v.ok else 1), payload, summary
@@ -141,13 +140,13 @@ def _cmd_polarity_graph(args):
 
 
 def _cmd_graph_count(args):
-    g = _read_graph(args)
+    g = _read(read_edge_list, args.in_path, n=args.n)
     payload = {"n": g.n, "m": g.m, "count_c4": count_c4(g)}
     return 0, payload, f"{payload['count_c4']} four-cycles in {g.n} vertices / {g.m} edges"
 
 
 def _cmd_graph_stats(args):
-    g = _read_graph(args)
+    g = _read(read_edge_list, args.in_path, n=args.n)
     st = graph_stats(g, args.q)
     payload = {
         "n": st.n, "m": st.m, "q": st.q,
@@ -159,7 +158,7 @@ def _cmd_graph_stats(args):
 
 
 def _cmd_graph_family(args):
-    g = _read_graph(args)
+    g = _read(read_edge_list, args.in_path, n=args.n)
     nf = neighborhood_family(g, args.q, delta=args.delta)
     payload = {
         "q": args.q, "delta": args.delta, "size": nf.size,
@@ -222,7 +221,7 @@ def _cmd_ss_random(args):
 
 
 def _cmd_ss_halfway(args):
-    g = _read_graph(args)
+    g = _read(read_edge_list, args.in_path, n=args.n)
     r = halfway_bound_check(g, args.q)
     return _report_result(r)
 
@@ -309,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     gr_sub = gr.add_subparsers(dest="action", required=True)
     sp = leaf(gr_sub, "count-c4", _cmd_graph_count, help="exact 4-cycle count")
     sp.add_argument("--in", dest="in_path", required=True, help="edge list file")
-    sp.add_argument("--n", type=int, help="vertex count override for isolated tails")
+    sp.add_argument("--n", type=_vertex_count, help="vertex count override for isolated tails")
     sp = leaf(gr_sub, "stats", _cmd_graph_stats, help="degree and pair statistics")
     sp.add_argument("--in", dest="in_path", required=True, help="edge list file")
-    sp.add_argument("--n", type=int, help="vertex count override")
+    sp.add_argument("--n", type=_vertex_count, help="vertex count override")
     sp.add_argument("--q", type=int, required=True, help="target order")
     sp = leaf(gr_sub, "family", _cmd_graph_family, help="neighborhood family extraction")
     sp.add_argument("--in", dest="in_path", required=True, help="edge list file")
-    sp.add_argument("--n", type=int, help="vertex count override")
+    sp.add_argument("--n", type=_vertex_count, help="vertex count override")
     sp.add_argument("--q", type=int, required=True, help="target order")
     sp.add_argument("--delta", type=float, default=0.25)
 
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp = leaf(ss_sub, "halfway", _cmd_ss_halfway, help="unconditional count bound")
     sp.add_argument("--in", dest="in_path", required=True, help="edge list file")
-    sp.add_argument("--n", type=int, help="vertex count override")
+    sp.add_argument("--n", type=_vertex_count, help="vertex count override")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp = leaf(ss_sub, "classify", _cmd_ss_classify, help="graded perturbation check")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from c4lab.plane import IncidenceStructure, _codegree_blocks, _listing, _ranges
+from c4lab.plane import IncidenceStructure, _as_vertices, _codegree_blocks, _listing, _ranges
 from c4lab.plane import is_one_intersecting
 
 # Overflow certificate for the int64 pair codes, wedge counts and block sums
@@ -71,8 +71,7 @@ class Graph:
         Raises for the first edge, in input order, that is not ``present``.
         """
         codes = _edge_codes(self.n, edges)
-        lo, hi = np.divmod(np.unique(codes), self.n)
-        keys = np.sort(np.concatenate([lo * self.n + hi, hi * self.n + lo]))
+        keys = _edge_keys(self.n, codes)
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         # the sentinel n^2 lies above every key, so each lookup stays in range
         own = np.append(rows * self.n + self.indices, self.n * self.n)
@@ -99,17 +98,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _as_vertices(values) -> np.ndarray:
-    """The values as int64 vertices, rejecting any that is not an integer."""
-    raw = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # NaN and infinities fail the check below
-        arr = raw.astype(np.int64, copy=False)
-    fractional = (arr != raw) & (raw.dtype.kind not in "biu")
-    if fractional.any():
-        raise ValueError(f"vertex {raw[fractional][0].item()!r} is not an integer")
-    return arr
-
-
 def _edge_codes(n: int, edges) -> np.ndarray:
     """The int64 code min(u, v)*n + max(u, v) of each edge, in input order.
 
@@ -125,14 +113,23 @@ def _edge_codes(n: int, edges) -> np.ndarray:
     return np.minimum(arr[:, 0], arr[:, 1]) * n + np.maximum(arr[:, 0], arr[:, 1])
 
 
+def _edge_keys(n: int, codes: np.ndarray) -> np.ndarray:
+    """The sorted, distinct CSR keys row*n + column of both entries of each edge code."""
+    keys = np.concatenate([codes, codes % n * n + codes // n])
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
+
+
 def from_edges(n: int, edges) -> Graph:
     """Build a Graph from an edge iterable, deduplicating and validating.
 
-    Loops and endpoints that are not integers in [0, n) are rejected.
+    Loops, endpoints that are not integers in [0, n) and a negative n are rejected.
     """
-    codes = np.unique(_edge_codes(n, edges))
-    lo, hi = np.divmod(codes, n)
-    keys = np.sort(np.concatenate([codes, hi * n + lo]))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    keys = _edge_keys(n, _edge_codes(n, edges))
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     return Graph(n, indptr, (keys % n).astype(np.int32))
 

@@ -18,6 +18,17 @@ import numpy as np
 from c4lab.field import FieldSpec
 
 
+def _as_vertices(values) -> np.ndarray:
+    """The values as int64 vertices or points, rejecting any that is not an integer."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and infinities fail the check below
+        arr = raw.astype(np.int64, copy=False)
+    fractional = (arr != raw) & (raw.dtype.kind not in "biu")
+    if fractional.any():
+        raise ValueError(f"vertex {raw[fractional][0].item()!r} is not an integer")
+    return arr
+
+
 class IncidenceStructure:
     """A finite hypergraph: lines are sorted, duplicate-free point index sets."""
 
@@ -25,22 +36,17 @@ class IncidenceStructure:
         if n_points < 0:
             raise ValueError("n_points must be nonnegative")
         self.n_points = int(n_points)
-        parts = []
-        ptr = [0]
-        total = 0
-        for line in lines:
-            arr = np.asarray(sorted(int(p) for p in line), dtype=np.int32)
+        # an empty head part starts line_ptr at 0 and keeps concatenate nonempty
+        parts = [np.zeros(0, dtype=np.int64)]
+        for i, line in enumerate(lines):
+            arr = np.sort(_as_vertices(list(line)))
             if len(arr) and (arr[0] < 0 or arr[-1] >= n_points):
-                raise ValueError(f"line {len(ptr) - 1} has a point index out of range")
-            if len(arr) > 1 and np.any(arr[1:] == arr[:-1]):
-                raise ValueError(f"line {len(ptr) - 1} contains a duplicate point")
+                raise ValueError(f"line {i} has a point index out of range")
+            if np.any(arr[1:] == arr[:-1]):
+                raise ValueError(f"line {i} contains a duplicate point")
             parts.append(arr)
-            total += len(arr)
-            ptr.append(total)
-        self.line_ptr = np.asarray(ptr, dtype=np.int64)
-        self.line_idx = (
-            np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
-        )
+        self.line_ptr = np.cumsum([len(arr) for arr in parts], dtype=np.int64)
+        self.line_idx = np.concatenate(parts).astype(np.int32)
         self._p2l: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -227,13 +233,24 @@ def _transpose(ptr, idx, n_cols):
 
     The transpose has max(n_cols, max(idx) + 1) rows.  Entry k = (r, c)
     sits at position twin[k] of row c of the transpose, so
-    back_idx[twin[k]] == r; the stable sort keeps the transposed rows sorted.
+    back_idx[twin[k]] == r.  One sort of the distinct keys c*nnz + k gives
+    the stable order by column, which keeps the transposed rows sorted; a
+    second sort of order*nnz + position inverts it into ``twin``.  Keys stay
+    below max(n_cols, nnz)*nnz.
     """
-    order = np.argsort(idx, kind="stable")
+    nnz = len(idx)
+    pos = np.arange(nnz)
+    twin = idx.astype(np.int64)
+    # sorting in place keeps at most two int64 arrays of nnz entries alive
+    for _ in range(2):
+        twin *= nnz
+        twin += pos
+        twin.sort()
+        twin %= nnz
+    del pos
     back_ptr = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=n_cols))])
-    back_idx = np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr))[order]
-    twin = np.empty_like(order)
-    twin[order] = np.arange(len(order))
+    back_idx = np.empty(nnz, dtype=np.int32)
+    back_idx[twin] = np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr))
     return back_ptr, back_idx, twin
 
 

@@ -16,24 +16,22 @@ import numpy as np
 
 from c4lab.field import FieldSpec, spec_for_order
 from c4lab.graph import Graph, _has_c4, _neighborhoods
-from c4lab.plane import ProjectivePlane, _ranges, build_pg2
+from c4lab.plane import ProjectivePlane, _as_vertices, _ranges, _transpose, build_pg2
 
 
 class Polarity:
     """A point-line pairing of a plane, stored as the permutation sigma."""
 
     def __init__(self, plane: ProjectivePlane, sigma):
-        sigma = np.asarray(sigma, dtype=np.int64)
+        sigma = _as_vertices(sigma)
         n = plane.n_points
         if plane.n_lines != n:
             raise ValueError("polarity needs equally many points and lines")
         if sigma.shape != (n,):
             raise ValueError(f"sigma must have length {n}")
-        seen = np.zeros(n, dtype=bool)
         if np.any(sigma < 0) or np.any(sigma >= n):
             raise ValueError("sigma value out of range")
-        seen[sigma] = True
-        if not seen.all():
+        if not np.bincount(sigma, minlength=n).all():
             raise ValueError("sigma is not a permutation")
         self.plane = plane
         self.sigma = sigma
@@ -66,21 +64,23 @@ def _paired_incidences(pi: Polarity):
     """Rows and columns of the paired incidence matrix, and its first asymmetry.
 
     Entry (i, p) means p lies on line sigma(i); rows ascend, each with its
-    points ascending, and so do the rows of the transpose, the entries sorted
-    by column with row and column swapped.  The two lists agree up to their
-    first mismatch, where the smaller entry is the first (i, p) in row-major
-    order whose mirror is missing (None when the matrix is symmetric).
+    points ascending, and so do those of its transpose.  The matrix is
+    symmetric exactly when their row-major entry lists are equal; up to their
+    first mismatch they agree, and there the smaller entry is the first (i, p)
+    in row-major order whose mirror is missing (None when symmetric).
     """
     ptr = pi.plane.line_ptr
     sizes = np.diff(ptr)[pi.sigma]
-    rows = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    n = len(sizes)
     cols = pi.plane.line_idx[_ranges(ptr[pi.sigma], sizes)]
-    order = np.argsort(cols, kind="stable")
-    differ = np.flatnonzero((rows != cols[order]) | (cols != rows[order]))
+    back_ptr, back_idx = _transpose(np.concatenate([[0], np.cumsum(sizes)]), cols, n)[:2]
+    rows = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    back_rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(back_ptr))
+    differ = np.flatnonzero((rows != back_rows) | (cols != back_idx))
     if len(differ) == 0:
         return rows, cols, None
-    k, t = differ[0], order[differ[0]]
-    return rows, cols, min((int(rows[k]), int(cols[k])), (int(cols[t]), int(rows[t])))
+    k = differ[0]
+    return rows, cols, min((int(rows[k]), int(cols[k])), (int(back_rows[k]), int(back_idx[k])))
 
 
 def verify_polarity(pi: Polarity) -> PolarityVerdict:
@@ -241,9 +241,10 @@ def read_polarity(path: str) -> Polarity:
     """Parse the `q` header and sigma; the plane is rebuilt from its order."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [t for t in (raw.split("#", 1)[0].strip() for raw in fh) if t]
-    if not lines or not lines[0].startswith("q "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "q":
         raise ValueError("missing `q <val>` header")
-    q = int(lines[0].split()[1])
+    q = int(header[1])
     sigma = [int(t) for t in lines[1:]]
     if len(sigma) != q * q + q + 1:  # before a bad file costs a whole plane
         raise ValueError(f"sigma must have length {q * q + q + 1}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,26 +45,10 @@ class ExperimentReport:
 
     def same_results(self, other: "ExperimentReport") -> bool:
         """Equality of everything except the timing."""
-        return (
-            self.experiment == other.experiment
-            and self.params == other.params
-            and self.measured == other.measured
-            and self.bounds == other.bounds
-            and self.verdicts == other.verdicts
-        )
+        return replace(self, wall_time=0.0) == replace(other, wall_time=0.0)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "experiment": self.experiment,
-                "params": self.params,
-                "measured": self.measured,
-                "bounds": self.bounds,
-                "verdicts": self.verdicts,
-                "wall_time": self.wall_time,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentReport":

@@ -111,6 +111,18 @@ class TestGraphCommands:
         assert not payload["one_intersecting"]
 
 
+    def test_negative_vertex_count_is_a_usage_error(self, capsys, tmp_path):
+        empty = tmp_path / "empty.edges"
+        empty.write_text("")
+        for bad in ("-2", "1.5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                cli_dispatch(["graph", "count-c4", "--in", str(empty), "--n", bad])
+            assert exc.value.code == 2
+            assert f"expected a nonnegative integer, got '{bad}'" in capsys.readouterr().err
+        code, payload, _ = run_json(capsys, "graph", "count-c4", "--in", str(empty), "--n", "0")
+        assert code == 0 and payload["n"] == 0 and payload["count_c4"] == 0
+
+
 class TestTuranCommands:
     def test_brute(self, capsys):
         code, payload, _ = run_json(capsys, "turan", "brute", "--n", "7")

@@ -222,6 +222,11 @@ class TestFromEdges:
         with pytest.raises(ValueError, match="out of range"):
             from_edges(3, [(-1, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            from_edges(-1, [])
+        assert from_edges(0, []).indptr.tolist() == [0]
+
     def test_rejects_fractional_vertices(self):
         with pytest.raises(ValueError, match=r"^vertex 0\.5 is not an integer$"):
             from_edges(4, [(0.5, 1.7), (2, 3.9)])
@@ -729,9 +734,3 @@ class TestEdgeListIO:
         assert g.n == 3 and g.m == 2
         g5 = read_edge_list(str(p), n=5)
         assert g5.n == 5 and g5.degrees().tolist() == [1, 2, 1, 0, 0]
-
-    def test_bad_line(self, tmp_path):
-        p = tmp_path / "g.edges"
-        p.write_text("0 1 2\n")
-        with pytest.raises(ValueError, match="bad edge line"):
-            read_edge_list(str(p))

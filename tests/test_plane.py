@@ -65,6 +65,8 @@ def test_incidence_constructor_validation():
         IncidenceStructure(4, [[0, 1, 5]])  # out of range
     with pytest.raises(ValueError):
         IncidenceStructure(4, [[0, 1, 1]])  # duplicate point
+    with pytest.raises(ValueError, match=r"^vertex 0\.5 is not an integer$"):
+        IncidenceStructure(3, [[0.5, 1.7], [2.2]])  # not truncated to {0, 1}, {2}
     s = IncidenceStructure(4, [[2, 0], [1, 3]])
     assert s.line(0).tolist() == [0, 2]  # stored sorted
     assert s.point_lines(0).tolist() == [0]
@@ -376,15 +378,3 @@ def test_incidence_parser_handles_comments(tmp_path):
     assert s.n_points == 5 and s.n_lines == 2
     assert s.line(1).tolist() == [2, 3, 4]
 
-
-def test_incidence_parser_errors(tmp_path):
-    p = tmp_path / "bad.inc"
-    p.write_text("lines 2 points 5\n0 1\n")
-    with pytest.raises(ValueError):
-        read_incidence(str(p))
-    p.write_text("points 5 lines 3\n0 1\n")
-    with pytest.raises(ValueError):
-        read_incidence(str(p))
-    p.write_text("# only comments\n")
-    with pytest.raises(ValueError):
-        read_incidence(str(p))

@@ -65,6 +65,11 @@ class TestVerifyPolarity:
         asym = np.argwhere(m != m.T)
         assert (asym[0] == [i, j]).all()
 
+    def test_fractional_sigma_is_rejected(self):
+        plane = build_pg2(spec_for_order(2))
+        with pytest.raises(ValueError, match=r"^vertex 0\.5 is not an integer$"):
+            Polarity(plane, np.arange(7) + 0.5)  # not truncated to the identity
+
     def test_codes_exceed_int32_at_order_256(self):
         # PG(2, 256) has n = 65793 points, so codes i*n + j pass 2^31.  One
         # point per line, paired by the involution i <-> n-1-i, keeps the
@@ -284,9 +289,3 @@ class TestSerialization:
         with pytest.raises(ValueError, match="sigma must have length 4161"):
             read_polarity(str(path))
         assert cli_dispatch(["polarity", "verify", "--in", str(path)]) == 3
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "bad.pol"
-        path.write_text("0\n1\n2\n")
-        with pytest.raises(ValueError, match="header"):
-            read_polarity(str(path))
