@@ -1,5 +1,12 @@
-"""Turán-number machinery: closed-form bounds, tiny-n brute-force oracles,
+"""Turán-number machinery: closed-form bounds, exact small-n searches,
 prime-window search, and the explicit lower-bound chain.
+
+ex(n, C4) is searched exactly by vertex extension: the C4-free graphs that
+could beat a pendant-vertex lower bound are rebuilt one vertex of minimum
+degree at a time, with isomorphs rejected through a pure-Python canonical
+form on int bitsets (Clapham, Flockhart & Sheehan, J. Graph Theory 1989;
+McKay, J. Algorithms 1998).  h(n, t) keeps an edge-by-edge DFS, since its
+graphs contain 4-cycles.
 
 Every boundary comparison involving the fractional exponents 21/40 and 101/80
 is decided with integer cross-powering (surd arithmetic over sqrt(n)), never
@@ -13,7 +20,7 @@ from math import isqrt
 
 from c4lab.primes import is_prime
 
-MAX_TURAN_N = 10
+MAX_TURAN_N = 16
 MAX_H_N = 9
 
 FUREDI_EXCLUDED = frozenset({1, 7, 9, 11, 13})
@@ -46,7 +53,7 @@ def furedi_value(q: int) -> FurediValue:
 class TuranRecord:
     n: int
     ex_value: int
-    extremal_count: int | None
+    extremal_count: int
     method: str
 
 
@@ -54,50 +61,189 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _creates_c4(adj: list[int], u: int, v: int) -> bool:
-    """Would adding edge (u, v) close a 4-cycle? True iff a 3-path joins them."""
-    au = adj[u]
-    rem = adj[v] & ~(1 << u)
-    while rem:
-        low = rem & -rem
-        rem ^= low
-        if adj[low.bit_length() - 1] & au:
-            return True
-    return False
+def _equitable(adj: list[int], cells: list[int], pending: set[int]) -> list[int]:
+    """Refine an ordered partition, cells as vertex bitsets, until equitable.
+
+    The first pending cell in cell order splits every cell by the number of
+    neighbours its vertices have in it, the parts ordered by that number, so
+    the result depends only on the graph and the input, never on labels.  A
+    split cell's parts become pending, except the first largest one when the
+    cell itself was no longer pending: stability with respect to the cell
+    and the other parts implies it.  Cells left out of `pending` must be
+    ones the partition is already stable with respect to.
+    """
+    k = len(adj)
+    while pending and len(cells) < k:
+        splitter = next(c for c in cells if c in pending)
+        pending.discard(splitter)
+        single = None if splitter & (splitter - 1) else adj[splitter.bit_length() - 1]
+        refined = []
+        for cell in cells:
+            pieces = None
+            if cell & (cell - 1):
+                if single is not None:
+                    hit = cell & single
+                    if hit and hit != cell:
+                        pieces = [cell ^ hit, hit]
+                else:
+                    parts: dict[int, int] = {}
+                    rem = cell
+                    while rem:
+                        low = rem & -rem
+                        rem ^= low
+                        c = (adj[low.bit_length() - 1] & splitter).bit_count()
+                        parts[c] = parts.get(c, 0) | low
+                    if len(parts) > 1:
+                        pieces = [parts[c] for c in sorted(parts)]
+            if pieces is None:
+                refined.append(cell)
+                continue
+            refined += pieces
+            if cell in pending:
+                pending.discard(cell)
+                pending.update(pieces)
+            else:
+                largest = max(pieces, key=int.bit_count)
+                pending.update(p for p in pieces if p != largest)
+        cells = refined
+    return cells
+
+
+def _canonical_key(adj: list[int]) -> int:
+    """Isomorphism-invariant key of a graph given as neighbour bitsets.
+
+    The key is the largest adjacency code, row after row in cell order, over
+    the leaves of the individualization-refinement tree: start from the
+    degree partition, refine until equitable, then individualize each vertex
+    of the first smallest non-singleton cell and recurse.  Read as k rows of
+    k bits it is the adjacency of a canonically labelled copy.
+    """
+    k = len(adj)
+    best = 0
+
+    def search(cells: list[int], pending: set[int]) -> None:
+        nonlocal best
+        cells = _equitable(adj, cells, pending)
+        if len(cells) == k:
+            pos = {cell: i for i, cell in enumerate(cells)}
+            code = 0
+            for cell in cells:
+                row = 0
+                rem = adj[cell.bit_length() - 1]
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    row |= 1 << pos[low]
+                code = (code << k) | row
+            best = max(best, code)
+            return
+        size = min(c.bit_count() for c in cells if c & (c - 1))
+        j = next(i for i, c in enumerate(cells) if c.bit_count() == size)
+        head, cell, tail = cells[:j], cells[j], cells[j + 1 :]
+        rem = cell
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            # the rest of the cell is stable once the new singleton is
+            search(head + [low, cell ^ low] + tail, {low})
+
+    everything = (1 << k) - 1
+    search([everything], {everything})
+    return best
+
+
+def _decode_key(key: int, k: int) -> list[int]:
+    """The neighbour bitsets of the canonically labelled graph of a key."""
+    mask = (1 << k) - 1
+    return [(key >> (k * (k - 1 - i))) & mask for i in range(k)]
+
+
+def _extensions(adj: list[int], need: int):
+    """Neighbourhoods S of a new vertex that close no 4-cycle and keep it of
+    minimum degree, with |S| >= need.
+
+    A 4-cycle through the new vertex is x-a-b-c-x with a, c in S sharing the
+    neighbour b, so S must be independent in the shared-neighbour relation.
+    Every graph arises by adding a vertex of minimum degree, so |S| <= d(v)
+    for v outside S and |S| <= d(v) + 1 for v in S.
+    """
+    k = len(adj)
+    deg = [a.bit_count() for a in adj]
+    clash = []
+    for v in range(k):
+        reach = 0
+        rem = adj[v]
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            reach |= adj[low.bit_length() - 1]
+        clash.append(reach & ~(1 << v))
+    top = min(deg, default=k) + 1
+
+    def grow(chosen: int, size: int, cand: int):
+        if size >= need and all(deg[v] >= size or chosen >> v & 1 for v in range(k)):
+            yield chosen
+        if size == top:
+            return
+        while cand and size + cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            yield from grow(chosen | low, size + 1, cand & ~clash[v])
+
+    return grow(0, 0, (1 << k) - 1)
+
+
+def _extend(level, k: int, need: int):
+    """The graphs on k vertices with at least `need` edges that add a vertex
+    of minimum degree to a graph of `level` (keys of graphs on k - 1)."""
+    for key in level:
+        adj = _decode_key(key, k - 1)
+        edges = sum(a.bit_count() for a in adj) // 2
+        for s in _extensions(adj, need - edges):
+            yield [a | (s >> v & 1) << (k - 1) for v, a in enumerate(adj)] + [s]
+
+
+def _extremal_classes(n: int, least: int) -> tuple[int, set[int]]:
+    """The largest edge count of a C4-free graph on n >= 2 vertices, known to
+    be at least `least`, and the canonical keys of the graphs attaining it.
+
+    Level k holds the C4-free graphs on k vertices with at least T_k edges,
+    T_n = least.  A graph on k vertices with e edges has a vertex of degree
+    at most floor(2e/k), and e - floor(2e/k) never decreases as e grows, so
+    deleting it from a graph of level k leaves a graph with at least
+    T_{k-1} = T_k - floor(2 T_k / k) edges: every graph of level k extends
+    one of level k - 1.
+    """
+    need = [0] * (n + 1)
+    need[n] = least
+    for k in range(n, 1, -1):
+        need[k - 1] = need[k] - 2 * need[k] // k
+    level = {0}  # the one graph on one vertex
+    for k in range(2, n):
+        level = {_canonical_key(g) for g in _extend(level, k, need[k])}
+    top = max(sum(a.bit_count() for a in g) // 2 for g in _extend(level, n, least))
+    return top, {_canonical_key(g) for g in _extend(level, n, top)}
 
 
 def turan_bruteforce(n: int) -> TuranRecord:
-    """Exact ex(n, C4) by lexicographic DFS over edge sets.
+    """Exact ex(n, C4) and the number of extremal graphs up to isomorphism.
 
-    An edge is added only when it closes no 4-cycle; branches that cannot
-    beat the incumbent with all remaining edges are pruned.
+    Orders 1..n are solved in turn.  A pendant vertex shows
+    ex(m) >= ex(m-1) + 1, so ex(m) is the largest edge count among the
+    C4-free graphs on m vertices with at least ex(m-1) + 1 edges, which are
+    generated exhaustively by vertex extension with isomorph rejection.
+    Nothing is kept between calls.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_TURAN_N:
         raise ValueError(f"turan_bruteforce is capped at n = {MAX_TURAN_N}")
-    pairs = _all_pairs(n)
-    total = len(pairs)
-    adj = [0] * n
-    best = 0
-
-    def dfs(i: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if i == total or count + (total - i) <= best:
-            return
-        u, v = pairs[i]
-        if not _creates_c4(adj, u, v):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            dfs(i + 1, count + 1)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        dfs(i + 1, count)
-
-    dfs(0, 0)
-    record = TuranRecord(n=n, ex_value=best, extremal_count=None, method="bruteforce")
+    best, classes = 0, 1  # the one graph on one vertex
+    for m in range(2, n + 1):
+        best, keys = _extremal_classes(m, best + 1)
+        classes = len(keys)
+    record = TuranRecord(n=n, ex_value=best, extremal_count=classes, method="bruteforce")
     if record.ex_value > reiman_bound(n):
         raise AssertionError(f"ex({n}, C4) = {best} exceeds the Reiman bound")
     return record

@@ -16,6 +16,7 @@ number of distinct 4-cycle subgraphs.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ MAX_COUNT_N = 1 << 17
 MAX_COUNT_DEGREE = 1 << 10
 MAX_BRUTEFORCE_N = 64
 CYCLE_LIST_CAP = 10**6
+
+# the start of a line that holds neither two whitespace-separated tokens nor
+# none; a search for it keeps no state per line, where a match of the whole
+# text as repeated good lines keeps backtracking state for every line
+_BAD_EDGE_LINE = re.compile(r"^(?![^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*)?$)", re.MULTILINE)
 
 
 class Graph:
@@ -431,18 +437,18 @@ def read_edge_list(path: str, n: int | None = None) -> Graph:
     Vertex count defaults to max endpoint + 1; pass n for graphs with
     trailing isolated vertices.
     """
-    edges = []
-    top = -1
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
+        text = fh.read()
+    body = text
+    if "#" in text:
+        body = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
+    if _BAD_EDGE_LINE.search(body):
+        for raw in text.split("\n"):
+            parts = raw.split("#", 1)[0].split()
+            if len(parts) not in (0, 2):
                 raise ValueError(f"bad edge line: {raw.rstrip()}")
-            u, v = int(parts[0]), int(parts[1])
-            edges.append((u, v))
-            top = max(top, u, v)
-    size = top + 1 if n is None else n
+            [int(t) for t in parts]  # a bad token on an earlier line is reported first
+    # int() parses each token, so a bad one raises its "invalid literal" error
+    edges = np.array(body.split(), dtype=np.int64).reshape(-1, 2)
+    size = int(edges.max(initial=-1)) + 1 if n is None else n
     return from_edges(size, edges)

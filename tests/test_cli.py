@@ -128,6 +128,7 @@ class TestTuranCommands:
         code, payload, _ = run_json(capsys, "turan", "brute", "--n", "7")
         assert code == 0
         assert payload["n"] == 7 and payload["value"] == 9
+        assert payload["extremal_count"] == 5
 
     def test_bounds_infers_order(self, capsys):
         code, payload, _ = run_json(capsys, "turan", "bounds", "--n", "21")

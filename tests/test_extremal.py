@@ -1,5 +1,6 @@
 """Turán bounds, brute-force oracles, prime windows, and the exact chain."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,10 @@ import pytest
 
 from c4lab.extremal import (
     FUREDI_EXCLUDED,
+    MAX_TURAN_N,
+    _canonical_key,
+    _decode_key,
+    _equitable,
     _iroot,
     _p_window_ok,
     _surd_sign,
@@ -18,6 +23,8 @@ from c4lab.extremal import (
     turan_bruteforce,
     turan_lower_bound,
 )
+from c4lab.field import spec_for_order
+from c4lab.polarity import orthogonal_polarity, polarity_graph
 from c4lab.primes import is_prime
 
 
@@ -59,18 +66,112 @@ class TestFurediValue:
             furedi_value(0)
 
 
-# values up to n=8 were produced by this oracle and then frozen; n=9 is
-# exercised in the acceptance suite to keep this file fast
+def dfs_ex(n: int) -> int:
+    """ex(n, C4) by lexicographic DFS over edge sets: the search that the
+    vertex extension replaced, kept as its independent oracle.
+
+    An edge is added only when it closes no 4-cycle, that is when no 3-path
+    joins its ends; branches that cannot beat the incumbent with all
+    remaining pairs are pruned.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    adj = [0] * n
+    best = 0
+
+    def creates_c4(u: int, v: int) -> bool:
+        rem = adj[v] & ~(1 << u)
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            if adj[low.bit_length() - 1] & adj[u]:
+                return True
+        return False
+
+    def dfs(i: int, count: int) -> None:
+        nonlocal best
+        best = max(best, count)
+        if i == len(pairs) or count + len(pairs) - i <= best:
+            return
+        u, v = pairs[i]
+        if not creates_c4(u, v):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            dfs(i + 1, count + 1)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+        dfs(i + 1, count)
+
+    dfs(0, 0)
+    return best
+
+
+def labelled_class_count(n: int, e: int) -> int:
+    """Isomorphism classes of C4-free graphs with n vertices and e edges:
+    every labelled graph, as a bitmask over the pairs, reduced to the
+    minimum over its n! relabellings."""
+    pairs = list(itertools.combinations(range(n), 2))
+    bit = {p: i for i, p in enumerate(pairs)}
+    masks = np.array(
+        [sum(1 << j for j in c) for c in itertools.combinations(range(len(pairs)), e)],
+        dtype=np.int64,
+    )
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        for cycle in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
+            ring = zip(cycle, cycle[1:] + cycle[:1])
+            four = sum(1 << bit[min(u, v), max(u, v)] for u, v in ring)
+            masks = masks[(masks & four) != four]
+    least = masks.copy()
+    for perm in itertools.permutations(range(n)):
+        relabelled = np.zeros_like(masks)
+        for j, (u, v) in enumerate(pairs):
+            image = bit[min(perm[u], perm[v]), max(perm[u], perm[v])]
+            relabelled |= ((masks >> j) & 1) << image
+        np.minimum(least, relabelled, out=least)
+    return len(np.unique(least))
+
+
+def bitsets(n: int, edges) -> list[int]:
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def petersen_edges() -> list[tuple[int, int]]:
+    edges = []
+    for i in range(5):
+        edges += [(i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, 5 + i)]
+    return edges
+
+
+def polarity_q2_edges() -> list[tuple[int, int]]:
+    pg = polarity_graph(orthogonal_polarity(spec_for_order(2)))
+    return [tuple(e) for e in pg.graph.edges().tolist()]
+
+
+# values up to n=8 were produced by the DFS oracle and then frozen
 EX_KNOWN = {1: 0, 2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9, 8: 11}
+CLASSES_KNOWN = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 4, 7: 5}
 
 
 class TestTuranBruteforce:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dfs_oracle(self, n):
+        assert turan_bruteforce(n).ex_value == dfs_ex(n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_extremal_count_matches_labelled_classes(self, n):
+        rec = turan_bruteforce(n)
+        assert rec.extremal_count == labelled_class_count(n, rec.ex_value) == CLASSES_KNOWN[n]
+
     @pytest.mark.parametrize("n,expected", sorted(EX_KNOWN.items()))
     def test_frozen_values(self, n, expected):
         rec = turan_bruteforce(n)
         assert rec.ex_value == expected
         assert rec.method == "bruteforce"
         assert rec.n == n
+        assert type(rec.extremal_count) is int and rec.extremal_count >= 1
         assert rec.ex_value <= reiman_bound(n)
 
     def test_matches_plane_bound_at_q2(self):
@@ -82,16 +183,68 @@ class TestTuranBruteforce:
             assert vals[i - 1] <= vals[i] <= vals[i - 1] + i  # step n adds < n
 
     def test_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            turan_bruteforce(11)
+        turan_bruteforce(1)
+        with pytest.raises(ValueError, match=f"capped at n = {MAX_TURAN_N}"):
+            turan_bruteforce(MAX_TURAN_N + 1)
+        with pytest.raises(ValueError, match="at least 1"):
+            turan_bruteforce(0)
 
-    @pytest.mark.slow
+    # n = 9..12 agree with the published values, which the search does not use
     def test_n9(self):
         assert turan_bruteforce(9).ex_value == 13
 
-    @pytest.mark.slow
     def test_n10(self):
         assert turan_bruteforce(10).ex_value == 16
+
+    def test_n11(self):
+        assert turan_bruteforce(11).ex_value == 18
+
+    def test_n12(self):
+        assert turan_bruteforce(12).ex_value == 21
+
+
+class TestCanonicalKey:
+    @pytest.mark.parametrize("graph", [petersen_edges, polarity_q2_edges])
+    def test_invariant_under_relabelling(self, graph):
+        edges = graph()
+        n = 1 + max(max(e) for e in edges)
+        key = _canonical_key(bitsets(n, edges))
+        assert key.bit_count() == 2 * len(edges)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            perm = rng.permutation(n).tolist()
+            relabelled = [(perm[u], perm[v]) for u, v in edges]
+            assert _canonical_key(bitsets(n, relabelled)) == key
+
+    def test_key_is_a_labelling(self):
+        edges = petersen_edges()
+        adj = _decode_key(_canonical_key(bitsets(10, edges)), 10)
+        assert all(not a >> v & 1 for v, a in enumerate(adj))
+        assert all((adj[u] >> v & 1) == (adj[v] >> u & 1) for u in range(10) for v in range(10))
+        assert [a.bit_count() for a in adj] == [3] * 10
+        assert _canonical_key(adj) == _canonical_key(bitsets(10, edges))
+
+    def test_separates_c6_from_two_triangles(self):
+        # both 2-regular on 6 vertices: only individualization tells them apart
+        c6 = bitsets(6, [(i, (i + 1) % 6) for i in range(6)])
+        triangles = bitsets(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        assert _canonical_key(c6) != _canonical_key(triangles)
+
+    def test_refinement_is_equitable(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(2, 12))
+            upper = np.triu(rng.random((n, n)) < 0.3, 1)
+            adj = bitsets(n, np.argwhere(upper).tolist())
+            everything = (1 << n) - 1
+            cells = _equitable(adj, [everything], {everything})
+            assert sum(cells) == everything and all(cells)
+            for cell in cells:
+                for splitter in cells:
+                    counts = {
+                        (adj[v] & splitter).bit_count() for v in range(n) if cell >> v & 1
+                    }
+                    assert len(counts) == 1
 
 
 class TestHBruteforce:
