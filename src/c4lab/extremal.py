@@ -222,8 +222,9 @@ def _extremal_classes(n: int, least: int) -> tuple[int, set[int]]:
     level = {0}  # the one graph on one vertex
     for k in range(2, n):
         level = {_canonical_key(g) for g in _extend(level, k, need[k])}
-    top = max(sum(a.bit_count() for a in g) // 2 for g in _extend(level, n, least))
-    return top, {_canonical_key(g) for g in _extend(level, n, top)}
+    children = [(sum(a.bit_count() for a in g) // 2, g) for g in _extend(level, n, least)]
+    top = max(edges for edges, _ in children)
+    return top, {_canonical_key(g) for edges, g in children if edges == top}
 
 
 def turan_bruteforce(n: int) -> TuranRecord:

@@ -16,13 +16,12 @@ number of distinct 4-cycle subgraphs.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from c4lab.plane import IncidenceStructure, _as_vertices, _codegree_blocks, _listing, _ranges
-from c4lab.plane import is_one_intersecting
+from c4lab.plane import _read_rows, is_one_intersecting
 
 # Overflow certificate for the int64 pair codes, wedge counts and block sums
 # behind the exact counts: a vertex u starts at most d^2 wedges, so
@@ -37,12 +36,6 @@ MAX_COUNT_DEGREE = 1 << 10
 MAX_BRUTEFORCE_N = 64
 CYCLE_LIST_CAP = 10**6
 
-# the start of a line that holds neither two whitespace-separated tokens nor
-# none; a search for it keeps no state per line, where a match of the whole
-# text as repeated good lines keeps backtracking state for every line
-_BAD_EDGE_LINE = re.compile(r"^(?![^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*)?$)", re.MULTILINE)
-
-
 class Graph:
     """Undirected simple graph; adjacency stored as CSR with sorted rows."""
 
@@ -56,6 +49,8 @@ class Graph:
         return np.diff(self.indptr)
 
     def neighbors(self, v: int) -> np.ndarray:
+        if not 0 <= v < self.n:
+            raise ValueError("vertex out of range")
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -438,17 +433,6 @@ def read_edge_list(path: str, n: int | None = None) -> Graph:
     trailing isolated vertices.
     """
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    body = text
-    if "#" in text:
-        body = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
-    if _BAD_EDGE_LINE.search(body):
-        for raw in text.split("\n"):
-            parts = raw.split("#", 1)[0].split()
-            if len(parts) not in (0, 2):
-                raise ValueError(f"bad edge line: {raw.rstrip()}")
-            [int(t) for t in parts]  # a bad token on an earlier line is reported first
-    # int() parses each token, so a bad one raises its "invalid literal" error
-    edges = np.array(body.split(), dtype=np.int64).reshape(-1, 2)
+        edges = _read_rows(fh, width=2, name="edge")[1].reshape(-1, 2)
     size = int(edges.max(initial=-1)) + 1 if n is None else n
     return from_edges(size, edges)

@@ -9,6 +9,7 @@ indexing; the line [a:b:c] is the set of points with a*x + b*y + c*z = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -29,33 +30,50 @@ def _as_vertices(values) -> np.ndarray:
     return arr
 
 
+def _line_csr(n_points: int, sizes, points) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR (line_ptr, line_idx) of lines given by their sizes and their points in turn.
+
+    Each line comes out sorted.  The first line with a point that is not an
+    integer, lies outside [0, n_points) or repeats is rejected, in that order.
+    """
+    if n_points < 0:
+        raise ValueError("n_points must be nonnegative")
+    line_ptr = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    raw = np.asarray(points)
+    with np.errstate(invalid="ignore"):  # _as_vertices below rejects what this truncates
+        pts = raw.astype(np.int64, copy=False)
+    rows = np.repeat(np.arange(len(line_ptr) - 1), np.diff(line_ptr))
+    pts = pts[np.lexsort((pts, rows))]  # sorted within each line; rows stay in place
+    out = (pts < 0) | (pts >= n_points)
+    bad = out | np.append(False, (pts[1:] == pts[:-1]) & (rows[1:] == rows[:-1]))
+    i = int(rows[bad.argmax()]) if bad.any() else len(line_ptr) - 2
+    # only a line with a non-integer point can be bad by truncation alone
+    _as_vertices(raw[: line_ptr[i + 1]])
+    if bad.any() and out[line_ptr[i] : line_ptr[i + 1]].any():
+        raise ValueError(f"line {i} has a point index out of range")
+    if bad.any():
+        raise ValueError(f"line {i} contains a duplicate point")
+    return line_ptr, pts.astype(np.int32)
+
+
 class IncidenceStructure:
     """A finite hypergraph: lines are sorted, duplicate-free point index sets."""
 
     def __init__(self, n_points: int, lines: Iterable[Iterable[int]]):
-        if n_points < 0:
-            raise ValueError("n_points must be nonnegative")
+        rows = [list(line) for line in lines]
+        points = list(itertools.chain.from_iterable(rows))
+        self._adopt(n_points, *_line_csr(n_points, [len(r) for r in rows], points))
+
+    def _adopt(self, n_points: int, line_ptr: np.ndarray, line_idx: np.ndarray) -> None:
         self.n_points = int(n_points)
-        # an empty head part starts line_ptr at 0 and keeps concatenate nonempty
-        parts = [np.zeros(0, dtype=np.int64)]
-        for i, line in enumerate(lines):
-            arr = np.sort(_as_vertices(list(line)))
-            if len(arr) and (arr[0] < 0 or arr[-1] >= n_points):
-                raise ValueError(f"line {i} has a point index out of range")
-            if np.any(arr[1:] == arr[:-1]):
-                raise ValueError(f"line {i} contains a duplicate point")
-            parts.append(arr)
-        self.line_ptr = np.cumsum([len(arr) for arr in parts], dtype=np.int64)
-        self.line_idx = np.concatenate(parts).astype(np.int32)
+        self.line_ptr = line_ptr
+        self.line_idx = line_idx
         self._p2l: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def _from_csr(cls, n_points: int, line_ptr: np.ndarray, line_idx: np.ndarray):
         obj = cls.__new__(cls)
-        obj.n_points = int(n_points)
-        obj.line_ptr = line_ptr
-        obj.line_idx = line_idx
-        obj._p2l = None
+        obj._adopt(n_points, line_ptr, line_idx)
         return obj
 
     @property
@@ -63,6 +81,8 @@ class IncidenceStructure:
         return len(self.line_ptr) - 1
 
     def line(self, i: int) -> np.ndarray:
+        if not 0 <= i < self.n_lines:
+            raise ValueError("line index out of range")
         return self.line_idx[self.line_ptr[i] : self.line_ptr[i + 1]]
 
     def lines(self) -> list[np.ndarray]:
@@ -78,6 +98,8 @@ class IncidenceStructure:
 
     def point_lines(self, p: int) -> np.ndarray:
         """Indices of the lines through point p, ascending."""
+        if not 0 <= p < self.n_points:
+            raise ValueError("point index out of range")
         ptr, idx = self._transpose()
         return idx[ptr[p] : ptr[p + 1]]
 
@@ -109,10 +131,7 @@ class ProjectivePlane(IncidenceStructure):
     def __init__(self, spec: FieldSpec, line_ptr: np.ndarray, line_idx: np.ndarray):
         self.spec = spec
         self.q = spec.q
-        self.n_points = spec.q**2 + spec.q + 1
-        self.line_ptr = line_ptr
-        self.line_idx = line_idx
-        self._p2l = None
+        self._adopt(spec.q**2 + spec.q + 1, line_ptr, line_idx)
 
     def __repr__(self):
         return f"ProjectivePlane(q={self.q})"
@@ -585,31 +604,62 @@ def partial_symmetry_verify(m: np.ndarray, q: int) -> PartialSymmetryResult:
 
 def write_incidence(s: IncidenceStructure, path: str) -> None:
     """Write the `points N lines L` header plus one sorted index row per line."""
+    empty = np.flatnonzero(s.line_sizes() == 0)
+    if len(empty):  # it would be written as a blank line, which reads as no line
+        raise ValueError(f"line {empty[0]} is empty; an incidence file cannot hold it")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"points {s.n_points} lines {s.n_lines}\n")
         for i in range(s.n_lines):
             fh.write(" ".join(str(int(p)) for p in s.line(i)) + "\n")
 
 
+# characters read and converted at a time: bounds the Python str tokens alive
+_READ_BLOCK = 1 << 16
+
+
+def _first_row(fh) -> tuple[str, list[str]]:
+    """The next line of fh that holds tokens before any `#`, and its tokens."""
+    while raw := fh.readline():
+        if tokens := raw.split("#", 1)[0].split():
+            return raw, tokens
+    return "", []
+
+
+def _read_rows(fh, width: int | None = None, name: str = "row"):
+    """The rest of a text file of integer rows as (sizes, values), for every file format.
+
+    `#` starts a comment and lines without tokens are skipped.  ``sizes`` holds
+    each other line's token count and ``values`` their tokens as int64, which
+    int() converts one block of lines at a time, so a bad token raises its
+    "invalid literal" error.  With ``width``, a line of another token count
+    raises "bad <name> line".  The earlier of two errors is reported.
+    """
+    sizes, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    while raws := fh.readlines(_READ_BLOCK):
+        lines, text = raws, "".join(raws)
+        if "#" in text:
+            lines = [raw.split("#", 1)[0] for raw in raws]
+            text = " ".join(lines)
+        counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+        bad = np.flatnonzero((counts != 0) & (counts != width)) if width else ()
+        if len(bad):
+            np.array(" ".join(lines[: bad[0]]).split(), dtype=np.int64)  # earlier bad tokens
+            raise ValueError(f"bad {name} line: {raws[bad[0]].rstrip()}")
+        sizes.append(counts[counts != 0])
+        values.append(np.array(text.split(), dtype=np.int64))
+    return np.concatenate(sizes), np.concatenate(values)
+
+
 def read_incidence(path: str) -> IncidenceStructure:
     """Parse the incidence format; `#` starts a comment, blank lines ignored."""
-    header = None
-    lines = []
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if header is None:
-                parts = text.split()
-                if len(parts) != 4 or parts[0] != "points" or parts[2] != "lines":
-                    raise ValueError(f"bad incidence header: {raw.rstrip()}")
-                header = (int(parts[1]), int(parts[3]))
-                continue
-            lines.append([int(tok) for tok in text.split()])
-    if header is None:
-        raise ValueError("missing incidence header")
-    n, expected = header
-    if len(lines) != expected:
-        raise ValueError(f"expected {expected} lines, found {len(lines)}")
-    return IncidenceStructure(n, lines)
+        raw, header = _first_row(fh)
+        if not header:
+            raise ValueError("missing incidence header")
+        if len(header) != 4 or header[0] != "points" or header[2] != "lines":
+            raise ValueError(f"bad incidence header: {raw.rstrip()}")
+        n, expected = int(header[1]), int(header[3])
+        sizes, points = _read_rows(fh)
+    if len(sizes) != expected:
+        raise ValueError(f"expected {expected} lines, found {len(sizes)}")
+    return IncidenceStructure._from_csr(n, *_line_csr(n, sizes, points))

@@ -16,7 +16,8 @@ import numpy as np
 
 from c4lab.field import FieldSpec, spec_for_order
 from c4lab.graph import Graph, _has_c4, _neighborhoods
-from c4lab.plane import ProjectivePlane, _as_vertices, _ranges, _transpose, build_pg2
+from c4lab.plane import ProjectivePlane, _as_vertices, _first_row, _ranges, _read_rows, _transpose
+from c4lab.plane import build_pg2
 
 
 class Polarity:
@@ -240,12 +241,11 @@ def write_polarity(pi: Polarity, path: str) -> None:
 def read_polarity(path: str) -> Polarity:
     """Parse the `q` header and sigma; the plane is rebuilt from its order."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [t for t in (raw.split("#", 1)[0].strip() for raw in fh) if t]
-    header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != "q":
-        raise ValueError("missing `q <val>` header")
-    q = int(header[1])
-    sigma = [int(t) for t in lines[1:]]
+        header = _first_row(fh)[1]
+        if len(header) != 2 or header[0] != "q":
+            raise ValueError("missing `q <val>` header")
+        q = int(header[1])
+        sigma = _read_rows(fh, width=1, name="sigma")[1]
     if len(sigma) != q * q + q + 1:  # before a bad file costs a whole plane
         raise ValueError(f"sigma must have length {q * q + q + 1}")
     plane = build_pg2(spec_for_order(q))

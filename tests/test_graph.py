@@ -257,6 +257,20 @@ class TestFromEdges:
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
 
+    @pytest.mark.parametrize("accessor, index", [
+        ("neighbors", -3), ("neighbors", 7), ("line", -2), ("line", 7),
+        ("point_lines", -2), ("point_lines", 7),
+    ])
+    def test_row_accessors_reject_out_of_range(self, accessor, index):
+        # the q = 2 polarity graph and PG(2, 2) have 7 rows each; a negative
+        # index must not read another row from the end of the CSR
+        from c4lab.polarity import orthogonal_polarity, polarity_graph
+
+        pi = orthogonal_polarity(spec_for_order(2))
+        owner = polarity_graph(pi).graph if accessor == "neighbors" else pi.plane
+        with pytest.raises(ValueError, match="out of range"):
+            getattr(owner, accessor)(index)
+
     def test_add_and_remove_edges(self):
         g = petersen()
         g2 = g.add_edges([(0, 2)])

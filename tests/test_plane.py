@@ -9,6 +9,7 @@ import c4lab.plane
 from c4lab.field import FieldSpec
 from c4lab.plane import (
     IncidenceStructure,
+    _as_vertices,
     _codegree_blocks,
     _listing,
     _one_meet_audit,
@@ -70,6 +71,70 @@ def test_incidence_constructor_validation():
     s = IncidenceStructure(4, [[2, 0], [1, 3]])
     assert s.line(0).tolist() == [0, 2]  # stored sorted
     assert s.point_lines(0).tolist() == [0]
+
+
+def per_line_csr(n_points, lines):
+    """The per-line constructor behind IncidenceStructure before its one
+    vectorised check, kept as that check's oracle: (line_ptr, line_idx)."""
+    if n_points < 0:
+        raise ValueError("n_points must be nonnegative")
+    parts = [np.zeros(0, dtype=np.int64)]
+    for i, line in enumerate(lines):
+        arr = np.sort(_as_vertices(list(line)))
+        if len(arr) and (arr[0] < 0 or arr[-1] >= n_points):
+            raise ValueError(f"line {i} has a point index out of range")
+        if np.any(arr[1:] == arr[:-1]):
+            raise ValueError(f"line {i} contains a duplicate point")
+        parts.append(arr)
+    return (
+        np.cumsum([len(arr) for arr in parts], dtype=np.int64),
+        np.concatenate(parts).astype(np.int32),
+    )
+
+
+def test_vectorised_check_matches_per_line_oracle():
+    rng = np.random.default_rng(2024)
+    kinds = {"ok": 0, "range": 0, "duplicate": 0, "integer": 0}
+    for _ in range(3000):
+        n = int(rng.integers(0, 12))
+        lines = []
+        for _ in range(int(rng.integers(0, 7))):
+            line = rng.permutation(max(n, 1))[: rng.integers(0, 6)].astype(np.int64)
+            roll = rng.random()
+            if roll < 0.04 and len(line):
+                line[rng.integers(len(line))] = rng.choice([-1, n, n + 5])
+            elif roll < 0.08 and len(line):
+                line = np.append(line, line[rng.integers(len(line))])
+            elif roll < 0.11 and len(line):
+                line = line.astype(float)
+                line[rng.integers(len(line))] += rng.choice([0.5, np.nan])
+            # lists of Python numbers as well as int32 and float arrays
+            form = rng.integers(3)
+            lines.append(line.tolist() if form == 0 else line.astype(np.int32)
+                         if form == 1 and line.dtype.kind == "i" else line)
+        try:
+            expected = per_line_csr(n, lines)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                IncidenceStructure(n, lines)
+            text = str(err)
+            kinds["range" if "range" in text else "duplicate" if "duplicate" in text
+                  else "integer"] += 1
+            continue
+        s = IncidenceStructure(n, lines)
+        assert s.line_ptr.dtype == expected[0].dtype and s.line_idx.dtype == expected[1].dtype
+        assert np.array_equal(s.line_ptr, expected[0])
+        assert np.array_equal(s.line_idx, expected[1])
+        kinds["ok"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_write_incidence_rejects_empty_line(tmp_path):
+    # the format has no text for an empty line, so it would not read back
+    path = tmp_path / "empty.inc"
+    with pytest.raises(ValueError, match="^line 1 is empty"):
+        write_incidence(IncidenceStructure(3, [[0, 1], [], []]), str(path))
+    assert not path.exists()
 
 
 def test_verify_rejects_dropped_line():
