@@ -74,8 +74,8 @@ def test_incidence_constructor_validation():
 
 
 def per_line_csr(n_points, lines):
-    """The per-line constructor behind IncidenceStructure before its one
-    vectorised check, kept as that check's oracle: (line_ptr, line_idx)."""
+    """Reference for IncidenceStructure's vectorised check: (line_ptr, line_idx)
+    from the lines checked and sorted one at a time, or its ValueError."""
     if n_points < 0:
         raise ValueError("n_points must be nonnegative")
     parts = [np.zeros(0, dtype=np.int64)]
