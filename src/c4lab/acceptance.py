@@ -230,7 +230,7 @@ def counting_identities(full: bool = False) -> tuple[bool, str]:
 
 
 def turan_desk_values(full: bool = False) -> tuple[bool, str]:
-    expected = {4: 4, 5: 6, 6: 7, 7: 9, 8: 11, 9: 13}
+    expected = {4: 4, 5: 6, 6: 7, 7: 9, 8: 11, 9: 13, 13: 24}
     start = time.monotonic()
     for n, want in expected.items():
         rec = turan_bruteforce(n)
@@ -238,10 +238,11 @@ def turan_desk_values(full: bool = False) -> tuple[bool, str]:
             return False, f"n={n}: got {rec.ex_value}, expected {want}"
         if rec.ex_value > reiman_bound(n):
             return False, f"n={n}: value exceeds the degree-bound ceiling"
-    if expected[7] != furedi_value(2).value:
-        return False, "n=7 disagrees with the exact prime-power formula"
+    for q in (2, 3):
+        if expected[q * q + q + 1] != furedi_value(q).value:
+            return False, f"n={q * q + q + 1} disagrees with the exact prime-power formula"
     elapsed = time.monotonic() - start
-    return elapsed < 300, f"n=4..9 values frozen, {elapsed:.1f}s (budget 300s)"
+    return elapsed < 300, f"n=4..9 and 13 values frozen, {elapsed:.1f}s (budget 300s)"
 
 
 def order_exclusion(full: bool = False) -> tuple[bool, str]:

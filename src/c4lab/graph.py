@@ -169,11 +169,6 @@ def _pair_moments(g: Graph):
     return sum_choose2, covered_pairs, covered_with
 
 
-def _has_c4(g: Graph) -> bool:
-    """Whether two distinct vertices have two common neighbours; stops at the first."""
-    return any(c.max(initial=0) >= 2 for *_, c in _codegree_blocks(g.indptr, g.indices))
-
-
 def codegree(g: Graph, u: int, v: int) -> int:
     """Number of common neighbours of two distinct vertices (sorted merge)."""
     if not (0 <= u < g.n and 0 <= v < g.n):
@@ -207,9 +202,9 @@ def count_c4(g: Graph) -> int:
 
 
 def is_c4_free(g: Graph) -> bool:
-    """Max codegree <= 1, equivalently count_c4(g) == 0."""
+    """Max codegree <= 1, equivalently count_c4(g) == 0; stops at the first block over."""
     _check_counting_limits(g)
-    return not _has_c4(g)
+    return all(c.max(initial=0) <= 1 for *_, c in _codegree_blocks(g.indptr, g.indices))
 
 
 def count_c4_bruteforce(g: Graph) -> int:

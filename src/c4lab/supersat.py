@@ -178,9 +178,9 @@ def matching_experiment(q: int, t: int, seed: int = 0) -> ExperimentReport:
     t0 = time.perf_counter()
     if q % 2:
         raise ValueError("odd order")
-    pg = er_graph(q)
     if not 0 <= 2 * t <= q + 1:
         raise ValueError(f"t out of range: need 0 <= t <= {(q + 1) // 2}")
+    pg = er_graph(q)
     independent, _ = degree_q_independence(pg)
     w = special_vertex_w(pg)
     absolute = pg.absolute_points

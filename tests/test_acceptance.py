@@ -5,9 +5,16 @@ functions in c4lab.acceptance hold the substance, this file is the pytest
 harness plus the visible one-line verdicts.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from c4lab.acceptance import CRITERIA, run_criterion
+import c4lab.acceptance
+from c4lab.acceptance import CRITERIA, er_graph_exactness, run_criterion
+from c4lab.graph import count_c4
+from c4lab.polarity import special_vertex_w
+from c4lab.supersat import er_graph
 
 NUMBERS = [num for num, _, _ in CRITERIA]
 TITLES = {num: title for num, title, _ in CRITERIA}
@@ -25,3 +32,32 @@ def test_registry_is_complete():
     assert NUMBERS == list(range(1, 13))
     with pytest.raises(ValueError, match="no criterion"):
         run_criterion(99)
+
+
+def swapped_er_graph(q: int):
+    """er_graph(q) after a degree-preserving edge swap ab, cd -> ac, bd that
+    avoids w and S_q and closes a 4-cycle."""
+    pg = er_graph(q)
+    g = pg.graph
+    w = special_vertex_w(pg)
+    e = g.edges()
+    far = e[(g.degrees()[e] == q + 1).all(axis=1) & (e != w).all(axis=1)]
+    a, b = far[0].tolist()
+    for c, d in far[1:].tolist():
+        if len({a, b, c, d}) == 4 and not (g.has_edge(a, c) or g.has_edge(b, d)):
+            swapped = g.remove_edges([(a, b), (c, d)]).add_edges([(a, c), (b, d)])
+            if count_c4(swapped) > 0:
+                return replace(pg, graph=swapped)
+    raise AssertionError("no swap closes a 4-cycle")
+
+
+def test_gate_counts_the_cycles_of_a_corrupted_polarity_graph(monkeypatch):
+    # polarity_graph proves no C4-freeness by a scan; criterion 2's count does
+    bad = swapped_er_graph(8)
+    assert np.array_equal(bad.graph.degrees(), er_graph(8).graph.degrees())
+    monkeypatch.setattr(
+        c4lab.acceptance, "er_graph", lambda q: bad if q == 8 else er_graph(q)
+    )
+    ok, detail = er_graph_exactness()
+    assert not ok
+    assert detail == "q=8 failed ['c4_count']"

@@ -180,6 +180,42 @@ def test_counts_and_passing_audits_list_no_pairs(monkeypatch):
         assert verify_projective_plane(pg.polarity.plane).ok
 
 
+def relabelled(g: Graph, perm: np.ndarray) -> Graph:
+    """g with vertex v renamed perm[v]."""
+    return from_edges(g.n, perm[g.edges()])
+
+
+def invariants(g: Graph, q: int) -> tuple:
+    stats = graph_stats(g, q)
+    return (
+        count_c4(g),
+        is_c4_free(g),
+        up_p2_stats(g),
+        stats.degree_histogram,
+        stats.p2,
+        stats.up,
+        sorted(stats.d0.tolist()),
+    )
+
+
+@pytest.mark.parametrize("ratio", [0, 10**9])
+def test_vertex_relabelling_keeps_counts_and_stats(monkeypatch, ratio):
+    monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
+    rng = np.random.default_rng(17)
+    sizes = ((5, 0.6), (13, 0.4), (24, 0.25), (32, 0.5))
+    graphs = [(random_graph(n, p, 900 + n), 3) for n, p in sizes]
+    graphs += [(er_graph(4).graph, 4), (perturbed_er_graph(8, 3), 8)]
+    assert count_c4(graphs[-1][0]) > 0
+    for g, q in graphs:
+        expected = invariants(g, q)
+        for _ in range(3):
+            perm = rng.permutation(g.n)
+            h = relabelled(g, perm)
+            assert invariants(h, q) == expected
+            # d0 moves with its vertex, not only as a multiset
+            assert np.array_equal(graph_stats(h, q).d0[perm], graph_stats(g, q).d0)
+
+
 def test_sparse_graph_at_the_vertex_limit():
     n = MAX_COUNT_N
     # a 4-cycle and a pendant path on the highest vertices

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import c4lab.graph
+import c4lab.plane
 import c4lab.polarity
 from c4lab.cli import cli_dispatch
 from c4lab.field import FieldSpec, spec_for_order
@@ -166,12 +168,32 @@ class TestPolarityGraph:
         q = 5
         pi = orthogonal_polarity(spec_for_order(q))
         pg = polarity_graph(pi)
+        assert self.edges_from_lines(pi) == {tuple(e) for e in pg.graph.edges().tolist()}
+
+    @staticmethod
+    def edges_from_lines(pi):
         edges = set()
         for x in range(pi.plane.n_points):
             for y in pi.plane.line(int(pi.sigma[x])).tolist():
                 if y != x:
                     edges.add((min(x, y), max(x, y)))
-        assert edges == {tuple(e) for e in pg.graph.edges().tolist()}
+        return edges
+
+    def test_build_runs_no_pair_scan(self, monkeypatch):
+        # C4-freeness rests on the plane theorem; the gate counts it instead
+        def refuse(*args):
+            raise AssertionError("pair scan")
+
+        graphs = []
+        with monkeypatch.context() as m:
+            m.setattr(c4lab.graph, "_codegree_blocks", refuse)
+            m.setattr(c4lab.plane, "_codegree_blocks", refuse)
+            for q in (2, 3, 4, 8, 9, 16, 27):
+                pi = orthogonal_polarity(spec_for_order(q))
+                pg = polarity_graph(pi)
+                assert self.edges_from_lines(pi) == {tuple(e) for e in pg.graph.edges().tolist()}
+                graphs.append(pg.graph)
+        assert all(count_c4(g) == 0 for g in graphs)
 
     def test_rejects_non_polarity(self):
         pi = orthogonal_polarity(spec_for_order(3))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import c4lab.supersat
+from c4lab.cli import cli_dispatch
 from c4lab.graph import c4_through_edge, count_c4, from_edges
 from c4lab.polarity import PolarityGraph
 from c4lab.supersat import (
@@ -267,6 +268,16 @@ class TestMatching:
             matching_experiment(8, 5)  # 2t = 10 > q+1
         with pytest.raises(ValueError, match="out of range"):
             matching_experiment(8, -1)
+
+    def test_t_out_of_range_is_rejected_before_the_graph_is_built(self, monkeypatch, capsys):
+        def refuse(q):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(c4lab.supersat, "er_graph", refuse)
+        with pytest.raises(ValueError, match="t out of range"):
+            matching_experiment(128, 99)
+        assert cli_dispatch(["supersat", "matching", "--q", "128", "--t", "99"]) == 2
+        assert "t out of range" in capsys.readouterr().err
 
 
 class TestRandomSupersat:
