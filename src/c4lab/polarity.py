@@ -10,12 +10,13 @@ the Turán bound for 4-cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
 
 from c4lab.field import FieldSpec, spec_for_order
-from c4lab.graph import Graph, _neighborhoods
+from c4lab.graph import Graph, _neighborhoods, count_c4
 from c4lab.plane import ProjectivePlane, _as_vertices, _first_row, _ranges, _read_rows, _transpose
 from c4lab.plane import build_pg2
 
@@ -94,9 +95,12 @@ def verify_polarity(pi: Polarity) -> PolarityVerdict:
     return PolarityVerdict(witness is None, witness)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolarityGraph:
-    """A polarity graph and its absolute points; C4-free by the theorem in polarity_graph."""
+    """A polarity graph and its absolute points; C4-free by the theorem in polarity_graph.
+
+    Frozen, so that a cached ``c4_count`` always belongs to ``graph``.
+    """
 
     q: int
     graph: Graph
@@ -112,6 +116,11 @@ class PolarityGraph:
     @property
     def edge_count(self) -> int:
         return self.graph.m
+
+    @cached_property
+    def c4_count(self) -> int:
+        """count_c4 of the graph: one real scan on first read, kept for this object."""
+        return count_c4(self.graph)
 
     def __repr__(self):
         return f"PolarityGraph(q={self.q}, n={self.n}, m={self.edge_count})"
@@ -138,7 +147,8 @@ def polarity_graph(pi: Polarity) -> PolarityGraph:
     The release gate audits the premise and counts the 4-cycles (criteria 1,
     2 and 7); no pair scan runs here.  Asserted, in O(nnz): the pairing's
     symmetry, the Baer count, degrees in {q, q+1} with q exactly at absolute
-    points, and the edge-count formula.
+    points, and the edge-count formula.  The graph's arrays and the absolute
+    points are read-only, so a cached ``c4_count`` cannot go stale.
     """
     rows, cols, witness = _paired_incidences(pi)
     if witness is not None:
@@ -167,6 +177,8 @@ def polarity_graph(pi: Polarity) -> PolarityGraph:
         raise AssertionError(
             f"edge count {g.m} violates the polarity-graph formula for q={q}"
         )
+    for arr in (g.indptr, g.indices, absolute):
+        arr.flags.writeable = False
     return PolarityGraph(
         q=q, graph=g, absolute_points=absolute, a=a, m_pi=m_pi, polarity=pi
     )

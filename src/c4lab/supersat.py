@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from c4lab.field import spec_for_order
-from c4lab.graph import Graph, _c4_through_edge, _edge_codes, count_c4
+from c4lab.graph import Graph, _edge_codes, count_c4
+from c4lab.plane import _ranges
 from c4lab.polarity import (
     PolarityGraph,
     degree_q_independence,
@@ -27,6 +28,7 @@ from c4lab.polarity import (
 
 RECOUNT_MAX_Q = 64  # above this the global recount is skipped (route is exact)
 _DRAW_BLOCK = 1 << 19  # uniform draws per Generator.random call: 4 MB of doubles
+_GATHER_BLOCK = 1 << 20  # wedges per cycle gather: a few int64 arrays of 8 MB
 
 
 @dataclass
@@ -89,18 +91,12 @@ class ExperimentReport:
 def er_graph(q: int) -> PolarityGraph:
     """Cached orthogonal polarity graph of order q.
 
-    Every caller shares the result, so its arrays are made read-only.
+    Every caller shares the result; ``polarity_graph`` already made the graph
+    read-only, and the polarity and plane arrays are frozen here.
     """
     pg = polarity_graph(orthogonal_polarity(spec_for_order(q)))
     plane = pg.polarity.plane
-    for arr in (
-        pg.graph.indptr,
-        pg.graph.indices,
-        pg.absolute_points,
-        pg.polarity.sigma,
-        plane.line_ptr,
-        plane.line_idx,
-    ):
+    for arr in (pg.polarity.sigma, plane.line_ptr, plane.line_idx):
         arr.flags.writeable = False
     return pg
 
@@ -110,11 +106,32 @@ def _rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-def _cycle_edge_codes(g: Graph, u: int, v: int) -> np.ndarray:
-    """Codes of the edges vx, xy, yu of each 4-cycle u-v-x-y-u; one row per cycle."""
-    x, y = _c4_through_edge(g, u, v)
-    pairs = np.column_stack([np.full_like(x, v), x, x, y, y, np.full_like(y, u)])
-    return _edge_codes(g.n, pairs.reshape(-1, 2)).reshape(-1, 3)
+def _cycle_edge_codes(g: Graph, edges: np.ndarray) -> np.ndarray:
+    """Codes of the edges vx, xy, yu of each 4-cycle u-v-x-y-u through an edge (u, v).
+
+    One row per cycle and listed edge, from one gather over all the edges.
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    deg, n = g.degrees(), g.n
+    # x runs over N(v) - u, y over N(x) - v; the cycle closes when y is in N(u)
+    at_v = np.repeat(np.arange(len(edges)), deg[v])
+    x = g.indices[_ranges(g.indptr[v], deg[v])]
+    is_u = x == u[at_v]
+    hits = np.bincount(at_v[is_u], minlength=len(edges))
+    if not hits.all():
+        k = int(hits.argmin())
+        raise ValueError(f"({u[k]}, {v[k]}) is not an edge")
+    at_v, x = at_v[~is_u], x[~is_u]
+    at_x = np.repeat(np.arange(len(x)), deg[x])
+    y = g.indices[_ranges(g.indptr[x], deg[x])]
+    owner = at_v[at_x]
+    at_u = np.repeat(np.arange(len(edges)), deg[u])
+    closes = (y != v[owner]) & np.isin(
+        owner * n + y, at_u * n + g.indices[_ranges(g.indptr[u], deg[u])]
+    )
+    owner, x, y = owner[closes], x[at_x[closes]], y[closes]
+    pairs = np.column_stack([v[owner], x, x, y, y, u[owner]])
+    return _edge_codes(n, pairs.reshape(-1, 2)).reshape(-1, 3)
 
 
 def _cycle_partition(g: Graph, added) -> tuple[int, int]:
@@ -123,17 +140,31 @@ def _cycle_partition(g: Graph, added) -> tuple[int, int]:
     C0 counts cycles using exactly one added edge, C1 the rest.  When the
     base graph was C4-free this is a partition of ALL 4-cycles of g.  A cycle
     using j added edges is listed once from each of them, so the listings
-    that use j added edges number j times the cycles.
+    that use j added edges number j times the cycles.  The edges are
+    gathered in chunks of at most _GATHER_BLOCK wedges.
     """
     added = np.asarray(added, dtype=np.int64).reshape(-1, 2)
     codes, first = np.unique(_edge_codes(g.n, added), return_index=True)
+    step = max(1, _GATHER_BLOCK // int(g.degrees().max(initial=1)) ** 2)
     listings = np.zeros(5, dtype=np.int64)  # by the number of added edges used
-    for u, v in added[first].tolist():
-        used = 1 + np.isin(_cycle_edge_codes(g, u, v), codes).sum(axis=1)
-        listings += np.bincount(used, minlength=5)
+    for lo in range(0, len(first), step):
+        listed = _cycle_edge_codes(g, added[first[lo : lo + step]])
+        listings += np.bincount(1 + np.isin(listed, codes).sum(axis=1), minlength=5)
     if np.any(listings[2:] % np.arange(2, 5)):
         raise AssertionError(f"cycle listings {listings[2:]} not multiples of 2, 3, 4")
     return int(listings[1]), int(np.sum(listings[2:] // np.arange(2, 5)))
+
+
+def _perturbed_count(pg: PolarityGraph, through_added: int, removed=()) -> int:
+    """C4 of G - R + A for the base G = pg.graph, without a global scan.
+
+    C4(G - R + A) = C4(G) - (cycles of G through R) + (cycles of G - R + A
+    through A) holds for any base G.  C4(G) is the base's cached real count,
+    the caller lists the cycles through A and the cycles through R are
+    listed here.
+    """
+    lost = sum(_cycle_partition(pg.graph, removed)) if len(removed) else 0
+    return pg.c4_count - lost + through_added
 
 
 def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
@@ -141,17 +172,19 @@ def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
 
     Checks the count lies in {q-1, q, q+1}, equals q-1 exactly when both
     endpoints have degree q, and that the cycles pairwise share only uv.
+    total_c4 is the base's cached count plus the listed cycles, so it equals
+    the count exactly when the base has no 4-cycle.
     """
     t0 = time.perf_counter()
     q = pg.q
     if pg.graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is already an edge")
     g2 = pg.graph.add_edges([(u, v)])
-    non_uv = _cycle_edge_codes(g2, u, v)
+    non_uv = _cycle_edge_codes(g2, np.array([[u, v]], dtype=np.int64))
     count = len(non_uv)
     deg_u = int(pg.graph.degrees()[u])
     deg_v = int(pg.graph.degrees()[v])
-    total = count_c4(g2)
+    total = _perturbed_count(pg, count)  # every listed cycle passes through uv once
     verdicts = {
         "count_in_range": count in (q - 1, q, q + 1),
         "q_minus_1_iff_both_degree_q": (count == q - 1)
@@ -254,7 +287,8 @@ def random_supersat(
 ) -> ExperimentReport:
     """Bernoulli(alpha) edge additions to the ER graph, alpha = 4t/(q^3(q+1)).
 
-    Per trial: X = number of added edges, Y = resulting C4 count.  Reports
+    Per trial: X = number of added edges, Y = resulting C4 count, the base's
+    cached count plus the cycles through the added edges.  Reports
     the fraction of trials with X >= t (the proof guarantees 0.22 per trial;
     fraction_floor leaves slack for sampling noise) and checks Y against the
     explicit budget 500(tq + t^4/q^8), decided in exact integers.
@@ -277,7 +311,8 @@ def random_supersat(
         added = _bernoulli_additions(pg, alpha, rng)
         xs.append(len(added))
         if count_cycles:
-            ys.append(count_c4(pg.graph.add_edges(added)))
+            g2 = pg.graph.add_edges(added)
+            ys.append(_perturbed_count(pg, sum(_cycle_partition(g2, added))))
         else:
             ys.append(None)
     frac = sum(1 for x in xs if x >= t) / trials
@@ -348,16 +383,23 @@ def classify_perturbation(pg: PolarityGraph, add, remove) -> ExperimentReport:
     """Perturb a polarity graph by +s/-(s-1) edges and test sq-s^2 <= #C4 <= sq+s^2.
 
     Only s=1 is a hard requirement (it is the single-edge lemma); for s >= 2
-    the range needs q much larger than s, so the verdict is informative.
+    the range needs q much larger than s, so the verdict is informative.  The
+    count is the base's cached count, less the cycles through the removed
+    edges, plus the cycles through the added ones.  An edge listed twice in
+    add or in remove is refused.
     """
     t0 = time.perf_counter()
     add = [sorted((int(a), int(b))) for a, b in add]
     remove = [sorted((int(a), int(b))) for a, b in remove]
     if len(add) != len(remove) + 1:
         raise ValueError("need exactly one more added edge than removed")
+    for name, edges in (("add", add), ("remove", remove)):
+        if len({tuple(e) for e in edges}) < len(edges):
+            raise ValueError(f"an edge is listed twice in {name}")
     # both lists are checked against pg itself, so an edge listed in both is refused
     pg.graph.add_edges(add)
-    count = count_c4(pg.graph.remove_edges(remove).add_edges(add))
+    g2 = pg.graph.remove_edges(remove).add_edges(add)
+    count = _perturbed_count(pg, sum(_cycle_partition(g2, add)), remove)
     q = pg.q
     s = len(add)
     lo, hi = s * q - s * s, s * q + s * s

@@ -5,13 +5,14 @@ functions in c4lab.acceptance hold the substance, this file is the pytest
 harness plus the visible one-line verdicts.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import c4lab.acceptance
-from c4lab.acceptance import CRITERIA, er_graph_exactness, run_criterion
+from c4lab.acceptance import CRITERIA, er_graph_exactness, run_criterion, single_edge_census
 from c4lab.graph import count_c4
 from c4lab.polarity import special_vertex_w
 from c4lab.supersat import er_graph
@@ -61,3 +62,12 @@ def test_gate_counts_the_cycles_of_a_corrupted_polarity_graph(monkeypatch):
     ok, detail = er_graph_exactness()
     assert not ok
     assert detail == "q=8 failed ['c4_count']"
+
+
+def test_census_fails_when_a_recount_disagrees(monkeypatch):
+    # the reports' total_c4 rests on the cached base count; the sampled recount checks it
+    monkeypatch.setattr(c4lab.acceptance, "count_c4", lambda g: count_c4(g) + 1)
+    ok, detail = single_edge_census()
+    assert not ok
+    found = re.fullmatch(r"q=4 uv=\(\d+,\d+\) recount (\d+) != total_c4 (\d+)", detail)
+    assert found and int(found[1]) == int(found[2]) + 1

@@ -195,6 +195,23 @@ class TestPolarityGraph:
                 graphs.append(pg.graph)
         assert all(count_c4(g) == 0 for g in graphs)
 
+    def test_graph_arrays_are_read_only(self):
+        pg = polarity_graph(orthogonal_polarity(spec_for_order(4)))
+        for arr in (pg.graph.indptr, pg.graph.indices, pg.absolute_points):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    def test_c4_count_is_cached_per_object(self):
+        pg = polarity_graph(orthogonal_polarity(spec_for_order(4)))
+        assert pg.c4_count == 0
+        a = pg.absolute_points
+        g2 = pg.graph.add_edges([(int(a[0]), int(a[1]))])
+        # a copy with another graph is another object and counts its own graph
+        assert replace(pg, graph=g2).c4_count == count_c4(g2) == 3
+        assert pg.c4_count == 0
+        with pytest.raises(AttributeError):
+            pg.graph = g2
+
     def test_rejects_non_polarity(self):
         pi = orthogonal_polarity(spec_for_order(3))
         sigma = pi.sigma.copy()

@@ -11,13 +11,23 @@ import numpy as np
 import pytest
 
 import c4lab.supersat
+from c4lab.acceptance import _nonedge_pairs
 from c4lab.cli import cli_dispatch
-from c4lab.graph import c4_through_edge, count_c4, from_edges
+import c4lab.polarity
+from c4lab.graph import (
+    _c4_through_edge,
+    _edge_codes,
+    c4_through_edge,
+    count_c4,
+    count_c4_bruteforce,
+    from_edges,
+)
 from c4lab.polarity import PolarityGraph
 from c4lab.supersat import (
     ExperimentReport,
     _bernoulli_additions,
     _cycle_partition,
+    _perturbed_count,
     _rng,
     add_edge_experiment,
     classify_perturbation,
@@ -58,6 +68,34 @@ def cycle_usage_oracle(g, added) -> Counter:
         for a, b, x, y in c4_through_edge(g, u, v)[1]:
             seen.add(frozenset([canon(a, b), canon(b, x), canon(x, y), canon(y, a)]))
     return Counter(len(cyc & added_set) for cyc in seen)
+
+
+def loop_partition(g, added, drop=None):
+    """(C0, C1) from one _c4_through_edge listing per distinct added edge.
+
+    The per-edge loop that the one-gather _cycle_partition replaced; ``drop``
+    skips the listings of that edge, in the order of the edge codes.
+    """
+    added = np.asarray(added, dtype=np.int64).reshape(-1, 2)
+    codes, first = np.unique(_edge_codes(g.n, added), return_index=True)
+    listings = np.zeros(5, dtype=np.int64)
+    for k, (u, v) in enumerate(added[first].tolist()):
+        if k == drop:
+            continue
+        x, y = _c4_through_edge(g, u, v)
+        pairs = np.column_stack([np.full_like(x, v), x, x, y, y, np.full_like(y, u)])
+        listed = _edge_codes(g.n, pairs.reshape(-1, 2)).reshape(-1, 3)
+        listings += np.bincount(1 + np.isin(listed, codes).sum(axis=1), minlength=5)
+    if np.any(listings[2:] % np.arange(2, 5)):
+        raise AssertionError(f"cycle listings {listings[2:]} not multiples of 2, 3, 4")
+    return int(listings[1]), int(np.sum(listings[2:] // np.arange(2, 5)))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AssertionError as exc:
+        return str(exc)
 
 
 def star_perturbation(pg, rng):
@@ -105,14 +143,69 @@ def test_cycle_partition_rejects_a_missing_listing(monkeypatch):
     g2 = g.add_edges(added)
     assert cycle_usage_oracle(g2, added)[2] == 1
     # listing the cycle from ab alone leaves one listing for a two-edge cycle
-    real = c4lab.supersat._c4_through_edge
+    real = c4lab.supersat._cycle_edge_codes
+    ab = _edge_codes(g.n, [(a, b)])
     monkeypatch.setattr(
         c4lab.supersat,
-        "_c4_through_edge",
-        lambda g, u, v: real(g, u, v) if (u, v) == (a, b) else (np.zeros(0),) * 2,
+        "_cycle_edge_codes",
+        lambda g, edges: real(g, edges[_edge_codes(g.n, edges) == ab]),
     )
     with pytest.raises(AssertionError, match="not multiples"):
         _cycle_partition(g2, added)
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
+def test_cycle_partition_matches_the_per_edge_loop(monkeypatch, q):
+    pg = er_graph(q)
+    rng = np.random.default_rng(70 + q)
+    real = c4lab.supersat._cycle_edge_codes
+    for _ in range(4):
+        added = list(dict.fromkeys(star_perturbation(pg, rng) + nonedges(pg, rng, 4)))
+        g2 = pg.graph.add_edges(added)
+        assert _cycle_partition(g2, added) == loop_partition(g2, added)
+        # the same verdict when one edge's listings go missing
+        drop = int(rng.integers(len(added)))
+        with monkeypatch.context() as m:
+            m.setattr(
+                c4lab.supersat,
+                "_cycle_edge_codes",
+                lambda g, edges: real(g, np.delete(edges, drop, axis=0)),
+            )
+            assert outcome(_cycle_partition, g2, added) == outcome(
+                loop_partition, g2, added, drop
+            )
+
+
+def test_cycle_partition_gathers_in_blocks(monkeypatch):
+    pg = er_graph(8)
+    added = nonedges(pg, np.random.default_rng(5), 30)
+    g2 = pg.graph.add_edges(added)
+    monkeypatch.setattr(c4lab.supersat, "_GATHER_BLOCK", 1)
+    assert _cycle_partition(g2, added) == loop_partition(g2, added)
+
+
+def test_cycle_partition_rejects_an_absent_edge():
+    pg = er_graph(4)
+    u, v = nonedges(pg, np.random.default_rng(0), 1)[0]
+    with pytest.raises(ValueError, match=f"\\({u}, {v}\\) is not an edge"):
+        _cycle_partition(pg.graph, [(u, v)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_perturbed_count_identity_on_graphs_with_cycles(seed):
+    # C4(G - R + A) = C4(G) - (cycles of G through R) + (cycles of G - R + A through A)
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(8, 33))
+    p = (0.15, 0.3, 0.5)[seed % 3]
+    g = from_edges(n, np.argwhere(np.triu(rng.random((n, n)) < p, 1)))
+    pg = PolarityGraph(0, g, np.zeros(0, dtype=np.int64), 0, 0, None)
+    edges = g.edges()
+    removed = edges[rng.choice(len(edges), size=min(len(edges), 3), replace=False)]
+    added = nonedges(pg, rng, 4)
+    g2 = g.remove_edges(removed).add_edges(added)
+    count = _perturbed_count(pg, sum(_cycle_partition(g2, added)), removed)
+    assert count_c4(g) > 0
+    assert count == count_c4(g2) == count_c4_bruteforce(g2)
 
 
 def test_partition_check_survives_optimize():
@@ -204,6 +297,34 @@ class TestAddEdge:
         r = add_edge_experiment(pg, 0, 1)
         assert r.measured["count"] == 2
         assert not r.verdicts["cycles_pairwise_share_only_uv"]
+        # the base's own cycle 0-3-2-4-0 is counted, and it does not pass through uv
+        assert r.measured["total_c4"] == 3
+        assert not r.verdicts["all_cycles_counted_through_uv"]
+
+    def test_base_is_scanned_once(self, monkeypatch):
+        scans = []
+
+        def counting(g):
+            scans.append(g.m)
+            return count_c4(g)
+
+        monkeypatch.setattr(c4lab.polarity, "count_c4", counting)
+        monkeypatch.setattr(c4lab.supersat, "count_c4", counting)
+        er_graph.cache_clear()
+        pg = er_graph(16)
+        for u, v in nonedges(pg, np.random.default_rng(6), 200):
+            assert add_edge_experiment(pg, u, v).passed()
+        assert scans == [pg.graph.m]
+
+    def test_total_equals_recount(self):
+        for q, pairs in (
+            (4, _nonedge_pairs(er_graph(4).graph).tolist()),
+            (8, nonedges(er_graph(8), np.random.default_rng(8), 200)),
+        ):
+            pg = er_graph(q)
+            for u, v in pairs:
+                r = add_edge_experiment(pg, u, v)
+                assert r.measured["total_c4"] == count_c4(pg.graph.add_edges([(u, v)]))
 
     def test_exhaustive_q4(self):
         pg = er_graph(4)
@@ -287,6 +408,15 @@ class TestRandomSupersat:
         c = random_supersat(16, 5, 10, seed=42)
         assert a.same_results(b)
         assert c.measured["x_per_trial"][:5] == a.measured["x_per_trial"]
+
+    def test_y_equals_recount_of_the_same_draws(self):
+        r = random_supersat(16, 50, 5, seed=7)
+        pg = er_graph(16)
+        recounts = [
+            count_c4(pg.graph.add_edges(_bernoulli_additions(pg, r.measured["alpha"], _rng(7, i))))
+            for i in range(5)
+        ]
+        assert r.measured["y_per_trial"] == recounts
 
     def test_trivial_t0(self):
         r = random_supersat(4, 0, 3, seed=1)
@@ -403,6 +533,28 @@ class TestClassifyPerturbation:
         assert r.measured["verdict_kind"] == "informative"
         assert r.verdicts == {}  # reported, not gated
         assert isinstance(r.measured["in_range"], bool)
+
+    @pytest.mark.parametrize("q", [8, 16])
+    def test_count_equals_recount(self, q):
+        pg = er_graph(q)
+        rng = np.random.default_rng(30 + q)
+        edges = pg.graph.edges()
+        for i in range(20):
+            add = nonedges(pg, rng, 1 + i % 4)
+            remove = [tuple(map(int, e)) for e in edges[rng.choice(len(edges), i % 4, replace=False)]]
+            r = classify_perturbation(pg, add, remove)
+            assert r.measured["count"] == count_c4(pg.graph.remove_edges(remove).add_edges(add))
+
+    def test_repeated_edges_rejected(self):
+        pg = er_graph(4)
+        assert pg.graph.has_edge(0, 1) and not pg.graph.has_edge(0, 2)
+        with pytest.raises(ValueError, match="listed twice in add"):
+            classify_perturbation(pg, add=[(0, 2), (0, 2)], remove=[(0, 1)])
+        with pytest.raises(ValueError, match="listed twice in add"):
+            classify_perturbation(pg, add=[(0, 2), (2, 0)], remove=[(0, 1)])
+        gaps = nonedges(pg, np.random.default_rng(1), 3)
+        with pytest.raises(ValueError, match="listed twice in remove"):
+            classify_perturbation(pg, add=gaps, remove=[(0, 1), (1, 0)])
 
     def test_errors(self):
         pg = er_graph(4)
