@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import c4lab.polarity
 import c4lab.supersat
 from c4lab.acceptance import _nonedge_pairs
 from c4lab.cli import cli_dispatch
-import c4lab.polarity
 from c4lab.graph import (
     _c4_through_edge,
     _edge_codes,
