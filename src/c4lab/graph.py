@@ -229,9 +229,10 @@ def count_c4_bruteforce(g: Graph) -> int:
 
 
 def _c4_through_edge(g: Graph, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (x, y): the 4-cycles u-v-x-y-u through the edge (u, v), one per entry."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
+    """Arrays (x, y): the paths v-x-y-u of g, one per entry.
+
+    They are the 4-cycles u-v-x-y-u that uv closes, in g + uv if uv is not an edge.
+    """
     xs = g.neighbors(v)
     xs = xs[xs != u]
     n_end = g.indptr[xs + 1] - g.indptr[xs]
@@ -248,6 +249,8 @@ def c4_through_edge(g: Graph, u: int, v: int):
     (u, v, x, y) with edges uv, vx, xy, yu; ``cycles`` is None when the count
     exceeds the materialization cap.
     """
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) is not an edge")
     xs, ys = _c4_through_edge(g, u, v)
     if len(xs) > CYCLE_LIST_CAP:
         return len(xs), None

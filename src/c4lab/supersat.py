@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from c4lab.field import spec_for_order
-from c4lab.graph import Graph, _edge_codes, count_c4
+from c4lab.graph import Graph, _c4_through_edge, _edge_codes, count_c4
 from c4lab.plane import _ranges
 from c4lab.polarity import (
     PolarityGraph,
@@ -155,18 +155,6 @@ def _cycle_partition(g: Graph, added) -> tuple[int, int]:
     return int(listings[1]), int(np.sum(listings[2:] // np.arange(2, 5)))
 
 
-def _perturbed_count(pg: PolarityGraph, through_added: int, removed=()) -> int:
-    """C4 of G - R + A for the base G = pg.graph, without a global scan.
-
-    C4(G - R + A) = C4(G) - (cycles of G through R) + (cycles of G - R + A
-    through A) holds for any base G.  C4(G) is the base's cached real count,
-    the caller lists the cycles through A and the cycles through R are
-    listed here.
-    """
-    lost = sum(_cycle_partition(pg.graph, removed)) if len(removed) else 0
-    return pg.c4_count - lost + through_added
-
-
 def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
     """Add one non-edge to a polarity graph and audit the created 4-cycles.
 
@@ -176,15 +164,18 @@ def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
     the count exactly when the base has no 4-cycle.
     """
     t0 = time.perf_counter()
-    q = pg.q
-    if pg.graph.has_edge(u, v):
+    q, g = pg.q, pg.graph
+    if g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is already an edge")
-    g2 = pg.graph.add_edges([(u, v)])
-    non_uv = _cycle_edge_codes(g2, np.array([[u, v]], dtype=np.int64))
-    count = len(non_uv)
-    deg_u = int(pg.graph.degrees()[u])
-    deg_v = int(pg.graph.degrees()[v])
-    total = _perturbed_count(pg, count)  # every listed cycle passes through uv once
+    if u == v:
+        raise ValueError(f"loop at vertex {int(u)} rejected")
+    # the cycles that uv closes are the paths v-x-y-u, which already lie in g
+    x, y = _c4_through_edge(g, u, v)
+    pairs = np.column_stack([np.full_like(x, v), x, x, y, y, np.full_like(y, u)])
+    non_uv = _edge_codes(g.n, pairs.reshape(-1, 2))
+    count = len(x)
+    deg_u, deg_v = int(g.degrees()[u]), int(g.degrees()[v])
+    total = pg.c4_count + count  # every listed cycle passes through uv once
     verdicts = {
         "count_in_range": count in (q - 1, q, q + 1),
         "q_minus_1_iff_both_degree_q": (count == q - 1)
@@ -312,7 +303,7 @@ def random_supersat(
         xs.append(len(added))
         if count_cycles:
             g2 = pg.graph.add_edges(added)
-            ys.append(_perturbed_count(pg, sum(_cycle_partition(g2, added))))
+            ys.append(pg.c4_count + sum(_cycle_partition(g2, added)))
         else:
             ys.append(None)
     frac = sum(1 for x in xs if x >= t) / trials
@@ -399,7 +390,8 @@ def classify_perturbation(pg: PolarityGraph, add, remove) -> ExperimentReport:
     # both lists are checked against pg itself, so an edge listed in both is refused
     pg.graph.add_edges(add)
     g2 = pg.graph.remove_edges(remove).add_edges(add)
-    count = _perturbed_count(pg, sum(_cycle_partition(g2, add)), remove)
+    lost = sum(_cycle_partition(pg.graph, remove))
+    count = pg.c4_count - lost + sum(_cycle_partition(g2, add))
     q = pg.q
     s = len(add)
     lo, hi = s * q - s * s, s * q + s * s

@@ -182,6 +182,14 @@ class TestSupersatCommands:
         assert code == 2
         assert "endpoint out of range" in err
 
+    @pytest.mark.parametrize(
+        "u,v,message", [("3", "3", "loop at vertex 3 rejected"), ("0", "1", "(0, 1) is already an edge")]
+    )
+    def test_add_edge_refused_input(self, capsys, u, v, message):
+        code, out, err = run(capsys, "supersat", "add-edge", "--q", "16", "--u", u, "--v", v)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_random_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_dispatch(["supersat", "random", "--q", "8", "--t", "2", "--trials", "3"])

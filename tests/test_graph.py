@@ -23,6 +23,7 @@ from c4lab.supersat import er_graph
 from c4lab.graph import (
     MAX_COUNT_N,
     Graph,
+    _c4_through_edge,
     c4_through_edge,
     claim_c4_inequality,
     codegree,
@@ -492,6 +493,21 @@ class TestC4ThroughEdge:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError, match="not an edge"):
             c4_through_edge(petersen(), 0, 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_private_lister_on_a_non_edge_lists_the_cycles_uv_closes(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = int(rng.integers(8, 33))
+        g = random_graph(n, float(rng.uniform(0.25, 0.5)), 700 + seed)
+        assert count_c4(g) > 0
+        gaps = [(u, v) for u in range(n) for v in range(n) if u != v and not g.has_edge(u, v)]
+        for k in rng.choice(len(gaps), 12, replace=False).tolist():
+            u, v = gaps[k]
+            g_uv = g.add_edges([(u, v)])
+            x, y = _c4_through_edge(g, u, v)
+            x_uv, y_uv = _c4_through_edge(g_uv, u, v)
+            assert set(zip(x.tolist(), y.tolist())) == set(zip(x_uv.tolist(), y_uv.tolist()))
+            assert len(x) == count_c4(g_uv) - count_c4(g)
 
     def test_endpoint_out_of_range_rejected(self):
         g = petersen()

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import c4lab.graph
 import c4lab.polarity
 import c4lab.supersat
 from c4lab.acceptance import _nonedge_pairs
@@ -27,7 +28,6 @@ from c4lab.supersat import (
     ExperimentReport,
     _bernoulli_additions,
     _cycle_partition,
-    _perturbed_count,
     _rng,
     add_edge_experiment,
     classify_perturbation,
@@ -203,7 +203,7 @@ def test_perturbed_count_identity_on_graphs_with_cycles(seed):
     removed = edges[rng.choice(len(edges), size=min(len(edges), 3), replace=False)]
     added = nonedges(pg, rng, 4)
     g2 = g.remove_edges(removed).add_edges(added)
-    count = _perturbed_count(pg, sum(_cycle_partition(g2, added)), removed)
+    count = classify_perturbation(pg, added, removed).measured["count"]
     assert count_c4(g) > 0
     assert count == count_c4(g2) == count_c4_bruteforce(g2)
 
@@ -291,15 +291,31 @@ class TestAddEdge:
             add_edge_experiment(pg, int(u), int(v))
 
     def test_shared_edge_fails_the_sharing_verdict(self):
-        # the cycles 0-1-2-3 and 0-1-2-4 through the new edge 01 share the edge 12
-        g = from_edges(5, [(1, 2), (2, 3), (3, 0), (2, 4), (4, 0)])
-        pg = PolarityGraph(2, g, np.zeros(0, dtype=np.int64), 0, 0, None)
-        r = add_edge_experiment(pg, 0, 1)
-        assert r.measured["count"] == 2
-        assert not r.verdicts["cycles_pairwise_share_only_uv"]
-        # the base's own cycle 0-3-2-4-0 is counted, and it does not pass through uv
-        assert r.measured["total_c4"] == 3
-        assert not r.verdicts["all_cycles_counted_through_uv"]
+        for n, base in (
+            # the cycles 0-1-2-3 and 0-1-2-4 through the new edge 01 share the edge 12;
+            # the base's own cycle 0-3-2-4-0 does not pass through uv
+            (5, [(1, 2), (2, 3), (3, 0), (2, 4), (4, 0)]),
+            # K4 minus 01: the cycles 0-1-2-3 and 0-1-3-2 share the chord 23 though
+            # their x and their y differ; the base's own cycle is 0-2-1-3-0
+            (4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        ):
+            pg = PolarityGraph(2, from_edges(n, base), np.zeros(0, dtype=np.int64), 0, 0, None)
+            r = add_edge_experiment(pg, 0, 1)
+            assert r.measured["count"] == 2
+            assert not r.verdicts["cycles_pairwise_share_only_uv"]
+            assert r.measured["total_c4"] == 3
+            assert not r.verdicts["all_cycles_counted_through_uv"]
+
+    def test_refusals_keep_their_messages_and_order(self):
+        pg = er_graph(4)
+        for a, b, message in (
+            (3, 3, "loop at vertex 3 rejected"),
+            (pg.n, 1, "edge endpoint out of range"),
+            (1, -1, "edge endpoint out of range"),
+            (pg.n, pg.n, "edge endpoint out of range"),  # the range before the loop
+        ):
+            with pytest.raises(ValueError, match=message):
+                add_edge_experiment(pg, a, b)
 
     def test_base_is_scanned_once(self, monkeypatch):
         scans = []
@@ -316,15 +332,24 @@ class TestAddEdge:
             assert add_edge_experiment(pg, u, v).passed()
         assert scans == [pg.graph.m]
 
-    def test_total_equals_recount(self):
+    def test_total_equals_recount(self, monkeypatch):
+        cases = []
         for q, pairs in (
             (4, _nonedge_pairs(er_graph(4).graph).tolist()),
             (8, nonedges(er_graph(8), np.random.default_rng(8), 200)),
         ):
             pg = er_graph(q)
-            for u, v in pairs:
-                r = add_edge_experiment(pg, u, v)
-                assert r.measured["total_c4"] == count_c4(pg.graph.add_edges([(u, v)]))
+            cases += [(pg, u, v, count_c4(pg.graph.add_edges([(u, v)]))) for u, v in pairs]
+
+        def refuse(*args):
+            raise AssertionError("add_edge_experiment built a graph")
+
+        # the cycles that uv closes are listed on the base itself
+        monkeypatch.setattr(c4lab.graph.Graph, "add_edges", refuse)
+        monkeypatch.setattr(c4lab.supersat, "_cycle_edge_codes", refuse)
+        for pg, u, v, recount in cases:
+            r = add_edge_experiment(pg, u, v)
+            assert r.passed() and r.measured["total_c4"] == recount
 
     def test_exhaustive_q4(self):
         pg = er_graph(4)
