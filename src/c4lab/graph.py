@@ -10,7 +10,10 @@ The fast counting path computes codegrees blockwise by enumerating wedges
 u -> w -> x over the CSR arrays (the kernel in ``c4lab.plane``) and counting
 their endpoints in exact integers; the independent brute-force oracle
 enumerates vertex quadruples on a dense boolean matrix.  Both count the
-number of distinct 4-cycle subgraphs.
+number of distinct 4-cycle subgraphs.  ``count_c4`` and ``is_c4_free`` take
+only the middles w > u, so each 4-cycle is counted once, from its least vertex
+u and the vertex x opposite it (vertex-priority counting with the vertex id as
+the priority); the pair statistics keep the full codegrees.
 """
 
 from __future__ import annotations
@@ -26,11 +29,14 @@ from c4lab.plane import _read_rows, is_one_intersecting
 # Overflow certificate for the int64 pair codes, wedge counts and block sums
 # behind the exact counts: a vertex u starts at most d^2 wedges, so
 # sum_x codeg(u, x) <= d^2 and sum_x codeg(u, x)^2 <= d^3.  With n <= 2^17 and
-# d <= 2^10 every pair code i*n + x stays below 2^34, every wedge total below
-# 2^37, every sum of squared codegrees below 2^47 and every choose-2 sum below
-# 2^46, far from 2^63.  count_c4 reduces a block by np.dot(c, c) - c.sum():
-# np.dot on int64 vectors is an exact integer loop (BLAS serves only floats),
-# and a block's c.c is at most the whole graph's sum of squares, below 2^47.
+# d <= 2^10 every block code, which is below n^2, stays below 2^34, every
+# wedge total below 2^37, every sum of squared codegrees below 2^47 and every
+# choose-2 sum below 2^46, far from 2^63.  A block is reduced by np.dot(c, c)
+# less its wedge count, which is c.sum(): np.dot on int64 vectors is an exact
+# integer loop (BLAS serves only floats), and a block's c.c is at most the
+# whole graph's sum of squares, below 2^47.  count_c4's codegrees count only
+# the common neighbours above the least vertex, so they are at most the full
+# ones and every bound above holds for them too.
 MAX_COUNT_N = 1 << 17
 MAX_COUNT_DEGREE = 1 << 10
 MAX_BRUTEFORCE_N = 64
@@ -46,7 +52,7 @@ class Graph:
         self.m = len(indices) // 2
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return self.indptr[1:] - self.indptr[:-1]
 
     def neighbors(self, v: int) -> np.ndarray:
         if not 0 <= v < self.n:
@@ -111,7 +117,13 @@ def _edge_codes(n: int, edges) -> np.ndarray:
     loops = arr[:, 0] == arr[:, 1]
     if loops.any():
         raise ValueError(f"loop at vertex {int(arr[loops.argmax(), 0])} rejected")
-    return np.minimum(arr[:, 0], arr[:, 1]) * n + np.maximum(arr[:, 0], arr[:, 1])
+    return _pair_codes(n, arr)
+
+
+def _pair_codes(n: int, pairs: np.ndarray) -> np.ndarray:
+    """The int64 edge code of each row (u, v) of an integer array, unchecked."""
+    low = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64, copy=False)
+    return low * n + np.maximum(pairs[:, 0], pairs[:, 1])
 
 
 def _edge_keys(n: int, codes: np.ndarray) -> np.ndarray:
@@ -154,17 +166,17 @@ def _pair_moments(g: Graph):
     """
     sum_choose2 = covered_pairs = 0
     covered_with = np.zeros(g.n, dtype=np.int64)
-    for lo, hi, codes, c in _codegree_blocks(g.indptr, g.indices):
+    for lo, hi, codes, c, wedges in _codegree_blocks(g.indptr, g.indices):
         if codes is None:
-            # a dense block is the matrix of its rows' codegrees
-            covered = c.reshape(hi - lo, g.n) != 0
+            # a dense block is the matrix of its rows' codegrees with the columns lo:n
+            covered = c.reshape(hi - lo, g.n - lo) != 0
             covered_with[lo:hi] += np.count_nonzero(covered, axis=1)
-            covered_with += np.count_nonzero(covered, axis=0)
+            covered_with[lo:] += np.count_nonzero(covered, axis=0)
         else:
             i, x, _ = _listing(lo, g.n, codes, c)
             covered_with += np.bincount(i, minlength=g.n)
             covered_with += np.bincount(x, minlength=g.n)
-        sum_choose2 += int(np.dot(c, c) - c.sum()) // 2
+        sum_choose2 += int(np.dot(c, c) - wedges) // 2
         covered_pairs += np.count_nonzero(c)
     return sum_choose2, covered_pairs, covered_with
 
@@ -191,20 +203,18 @@ def _check_counting_limits(g: Graph) -> None:
 
 
 def count_c4(g: Graph) -> int:
-    """Exact number of 4-cycle subgraphs: half the sum of C(codegree, 2) over pairs."""
+    """Exact 4-cycle count: sum C(c, 2) over pairs s < x, c their common neighbours above s."""
     _check_counting_limits(g)
-    # each block adds sum C(c, 2) = (c.c - sum c) / 2 over its pairs
-    blocks = _codegree_blocks(g.indptr, g.indices)
-    total = sum(int(np.dot(c, c) - c.sum()) // 2 for *_, c in blocks)
-    if total % 2:
-        raise AssertionError(f"codegree choose-2 mass {total} must be even")
-    return total // 2
+    # each block adds sum C(c, 2) = (c.c - sum c) / 2, and sum c is its wedge count
+    blocks = _codegree_blocks(g.indptr, g.indices, least=True)
+    return sum(int(np.dot(c, c) - wedges) // 2 for *_, c, wedges in blocks)
 
 
 def is_c4_free(g: Graph) -> bool:
-    """Max codegree <= 1, equivalently count_c4(g) == 0; stops at the first block over."""
+    """No pair s < x has two common neighbours above s; stops at the first block over."""
     _check_counting_limits(g)
-    return all(c.max(initial=0) <= 1 for *_, c in _codegree_blocks(g.indptr, g.indices))
+    blocks = _codegree_blocks(g.indptr, g.indices, least=True)
+    return all(c.max(initial=0) <= 1 for *_, c, _ in blocks)
 
 
 def count_c4_bruteforce(g: Graph) -> int:
@@ -338,7 +348,7 @@ def claim_c4_inequality(g: Graph, a_set) -> dict:
     pairs_a = len(a) * (len(a) - 1) // 2
     # two members of A share a neighbour exactly when their lines meet
     blocks = _codegree_blocks(fam.line_ptr, fam.line_idx)
-    up_a = pairs_a - int(sum(np.count_nonzero(c) for *_, c in blocks))
+    up_a = pairs_a - int(sum(np.count_nonzero(c) for *_, c, _ in blocks))
     lhs = 2 * count_c4(g)
     rhs = p2_a + up_a - pairs_a
     return {

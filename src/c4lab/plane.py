@@ -269,63 +269,88 @@ def _transpose(ptr, idx, n_cols):
     del pos
     back_ptr = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=n_cols))])
     back_idx = np.empty(nnz, dtype=np.int32)
-    back_idx[twin] = np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr))
+    back_idx[twin] = np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), ptr[1:] - ptr[:-1])
     return back_ptr, back_idx, twin
 
 
-def _codegree_blocks(ptr, idx):
-    """Yield (lo, hi, codes, c) covering the rows lo:hi of one CSR in turn.
+def _codegree_blocks(ptr, idx, least=False):
+    """Yield (lo, hi, codes, c, wedges) covering the rows lo:hi of one CSR in turn.
 
     The CSR has sorted rows: a simple graph or the lines of an incidence
     structure.  Rows s and x share as many columns as there are wedges
     s -> w -> x, w in row s and x in row w of the transpose the kernel
     derives.  Only the upper triangle x > s of this symmetric codegree matrix
-    is counted; those ends start one past the twin of the entry (s, w).  The
-    pair (s, x) has the block code (s - lo)*n + x with n = len(ptr) - 1.
+    is counted; those ends start one past the twin of the entry (s, w).
+
+    With ``least`` the CSR is a graph and only the middles w > s are taken:
+    c(s, x) counts the common neighbours above s, so the sum of C(c, 2) counts
+    each 4-cycle once, from its least vertex s and its vertex x opposite s.
+    A symmetric CSR gives sum_w r_w(d_w - 1) - C(r_w, 2) such wedges, r_w the
+    entries of row w below w; when the blocks run out, a mismatch raises
+    AssertionError.
+
+    A block covers the columns lo:n, n = len(ptr) - 1, since x > s >= lo;
+    the pair (s, x) has the block code (s - lo)*(n - lo) + x - lo.
     A block holds at most _BLOCK_SIZE wedges (a single row may exceed this)
     and comes in the form it was counted in: ``codes`` is None and ``c`` is
-    the dense bincount of all (hi - lo)*n codes, zeros included, at most
-    _BLOCK_SIZE entries; or, when its wedges are much fewer than its dense
-    entries, ``codes`` are the ascending codes of the covered pairs and ``c``
-    their counts, all >= 1.  Sums and maxima over ``c`` read either form
-    alike; ``_listing`` gives the pairs.
+    the dense bincount of all (hi - lo)*(n - lo) codes, zeros included, at
+    most _BLOCK_SIZE entries; or, when its wedges are much fewer than its
+    dense entries, ``codes`` are the ascending codes of the covered pairs and
+    ``c`` their counts, all >= 1.  Sums and maxima over ``c`` read either form
+    alike, and ``wedges`` is the sum of ``c``; ``_listing`` gives the pairs.
     """
     n = len(ptr) - 1
     back_ptr, back_idx, twin = _transpose(ptr, idx, 0)
     # the wedges before each row
-    reach = np.concatenate([[0], np.cumsum(np.diff(back_ptr)[idx])])[ptr]
-    max_rows = max(1, _BLOCK_SIZE // max(1, n))
+    reach = np.concatenate([[0], np.cumsum((back_ptr[1:] - back_ptr[:-1])[idx])])[ptr]
+    taken = closed_form = 0
     lo = 0
     while lo < n:
         # bound the block by all its wedges, upper or not
         hi = int(np.searchsorted(reach, reach[lo] + _BLOCK_SIZE, side="right")) - 1
         hi = max(hi, lo + 1)
-        sparse = int(reach[hi] - reach[lo]) * _SPARSE_RATIO < (hi - lo) * n
+        width = n - lo
+        sparse = int(reach[hi] - reach[lo]) * _SPARSE_RATIO < (hi - lo) * width
         if not sparse:
-            hi = min(hi, lo + max_rows)
-        n_mid = np.diff(ptr[lo : hi + 1])
+            hi = min(hi, lo + max(1, _BLOCK_SIZE // width))
+        n_mid = ptr[lo + 1 : hi + 1] - ptr[lo:hi]
+        mids = idx[ptr[lo] : ptr[hi]]
         first = twin[ptr[lo] : ptr[hi]] + 1
-        n_end = back_ptr[idx[ptr[lo] : ptr[hi]] + 1] - first
+        n_end = back_ptr[mids + 1] - first
+        rows = np.repeat(np.arange(hi - lo), n_mid)
+        if least:
+            # no middle w <= s; r_w counts the entries of row w below w (a graph has no loops)
+            low = mids <= rows + lo
+            n_end[low] = 0
+            r = np.bincount(rows[low], minlength=hi - lo)
+            # r_w(d_w - 1) - C(r_w, 2) = r_w(2d_w - 1 - r_w)/2, an integer for each w
+            closed_form += int(np.dot(r, 2 * n_mid - 1 - r)) // 2
         ends = back_idx[_ranges(first, n_end)]
-        src = np.repeat(np.repeat(np.arange(hi - lo), n_mid), n_end)
-        codes = src * n + ends
+        codes = np.repeat(rows * width - lo, n_end)
+        codes += ends
+        taken += len(codes)
         if sparse:
-            yield lo, hi, *np.unique(codes, return_counts=True)
+            yield lo, hi, *np.unique(codes, return_counts=True), len(codes)
         else:
-            yield lo, hi, None, np.bincount(codes, minlength=(hi - lo) * n)
+            yield lo, hi, None, np.bincount(codes, minlength=(hi - lo) * width), len(codes)
         lo = hi
+    if least and taken != closed_form:
+        raise AssertionError(
+            f"{taken} wedges enumerated, but the rows give {closed_form}: the CSR is not symmetric"
+        )
 
 
 def _listing(lo: int, n_cols: int, codes, c: np.ndarray):
     """The covered pairs of a block from ``_codegree_blocks`` as (i, x, c).
 
+    n_cols is the CSR's row count, so the block covers the columns lo:n_cols.
     Row-major order; i indexes the kernel's source rows and every c is >= 1.
     """
     if codes is None:
         codes = np.flatnonzero(c)
         c = c[codes]
-    i, x = np.divmod(codes, n_cols)
-    return i + lo, x, c
+    i, x = np.divmod(codes, n_cols - lo)
+    return i + lo, x + lo, c
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +382,7 @@ def _one_meet_audit(ptr, idx):
     symmetry that pair has i < j.
     """
     n = len(ptr) - 1
-    for lo, hi, codes, c in _codegree_blocks(ptr, idx):
+    for lo, hi, codes, c, _ in _codegree_blocks(ptr, idx):
         left = n - 1 - np.arange(lo, hi)  # the pairs (r, j > r) of each row
         if np.count_nonzero(c) == left.sum() and c.max(initial=1) == 1:
             continue

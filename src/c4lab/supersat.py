@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from c4lab.field import spec_for_order
-from c4lab.graph import Graph, _c4_through_edge, _edge_codes, count_c4
+from c4lab.graph import Graph, _c4_through_edge, _edge_codes, _pair_codes, count_c4
 from c4lab.plane import _ranges
 from c4lab.polarity import (
     PolarityGraph,
@@ -131,7 +131,7 @@ def _cycle_edge_codes(g: Graph, edges: np.ndarray) -> np.ndarray:
     )
     owner, x, y = owner[closes], x[at_x[closes]], y[closes]
     pairs = np.column_stack([v[owner], x, x, y, y, u[owner]])
-    return _edge_codes(n, pairs.reshape(-1, 2)).reshape(-1, 3)
+    return _pair_codes(n, pairs.reshape(-1, 2)).reshape(-1, 3)
 
 
 def _cycle_partition(g: Graph, added) -> tuple[int, int]:
@@ -172,9 +172,9 @@ def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
     # the cycles that uv closes are the paths v-x-y-u, which already lie in g
     x, y = _c4_through_edge(g, u, v)
     pairs = np.column_stack([np.full_like(x, v), x, x, y, y, np.full_like(y, u)])
-    non_uv = _edge_codes(g.n, pairs.reshape(-1, 2))
+    non_uv = _pair_codes(g.n, pairs.reshape(-1, 2))
     count = len(x)
-    deg_u, deg_v = int(g.degrees()[u]), int(g.degrees()[v])
+    deg_u, deg_v = int(g.indptr[u + 1] - g.indptr[u]), int(g.indptr[v + 1] - g.indptr[v])
     total = pg.c4_count + count  # every listed cycle passes through uv once
     verdicts = {
         "count_in_range": count in (q - 1, q, q + 1),
@@ -388,7 +388,7 @@ def classify_perturbation(pg: PolarityGraph, add, remove) -> ExperimentReport:
         if len({tuple(e) for e in edges}) < len(edges):
             raise ValueError(f"an edge is listed twice in {name}")
     # both lists are checked against pg itself, so an edge listed in both is refused
-    pg.graph.add_edges(add)
+    pg.graph._locate(add, present=False)
     g2 = pg.graph.remove_edges(remove).add_edges(add)
     lost = sum(_cycle_partition(pg.graph, remove))
     count = pg.c4_count - lost + sum(_cycle_partition(g2, add))

@@ -1,5 +1,6 @@
 """Graph construction, four-cycle counting (both routes), and pair statistics."""
 
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from c4lab.plane import (
 )
 from c4lab.supersat import er_graph
 from c4lab.graph import (
+    MAX_BRUTEFORCE_N,
     MAX_COUNT_N,
     Graph,
     _c4_through_edge,
@@ -145,7 +147,7 @@ def test_both_reductions_list_the_upper_codegrees(monkeypatch, block, ratio):
     i_ref, x_ref = np.nonzero(codeg)
     listed = [
         _listing(lo, g.n, codes, c)
-        for lo, _, codes, c in _codegree_blocks(g.indptr, g.indices)
+        for lo, _, codes, c, _ in _codegree_blocks(g.indptr, g.indices)
     ]
     if block == 40:
         assert len(listed) > 1
@@ -215,6 +217,32 @@ def test_vertex_relabelling_keeps_counts_and_stats(monkeypatch, ratio):
             assert invariants(h, q) == expected
             # d0 moves with its vertex, not only as a multiset
             assert np.array_equal(graph_stats(h, q).d0[perm], graph_stats(g, q).d0)
+
+
+@pytest.mark.parametrize("block,ratio", [
+    (c4lab.plane._BLOCK_SIZE, 0), (c4lab.plane._BLOCK_SIZE, 10**9), (40, 0), (40, 10**9),
+])
+def test_least_vertex_count_is_half_the_full_scan(monkeypatch, block, ratio):
+    # count_c4 takes each cycle once from its least vertex, up_p2_stats sums
+    # C(codegree, 2) over all pairs, which meets each cycle at both diagonals
+    monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", block)
+    monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
+    rng = np.random.default_rng(23)
+    sizes = ((6, 0.7), (45, 0.3), (120, 0.12), (300, 0.04))
+    for n, p in sizes:
+        g = random_graph(n, p, 700 + n)
+        expected = up_p2_stats(g)["sum_codegree_choose2"]
+        assert expected > 0 and 2 * count_c4(g) == expected
+        for _ in range(3):
+            h = relabelled(g, rng.permutation(n))
+            assert 2 * count_c4(h) == up_p2_stats(h)["sum_codegree_choose2"] == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 32])
+def test_c4_free_exactly_when_the_count_is_zero(q):
+    free, perturbed = er_graph(q).graph, perturbed_er_graph(q, q)
+    assert is_c4_free(free) and count_c4(free) == 0
+    assert is_c4_free(perturbed) == (count_c4(perturbed) == 0)
 
 
 def test_sparse_graph_at_the_vertex_limit():
@@ -410,12 +438,33 @@ KNOWN_COUNTS = [
 ]
 
 
+def complete_bipartite(side: list[int], other: list[int]) -> Graph:
+    return from_edges(len(side) + len(other), [(a, b) for a in side for b in other])
+
+
 class TestCountC4:
     @pytest.mark.parametrize("builder,expected", KNOWN_COUNTS)
     def test_known_graphs(self, builder, expected):
         g = builder()
         assert count_c4(g) == expected
         assert count_c4_bruteforce(g) == expected
+
+    @pytest.mark.parametrize("builder,expected", [
+        (lambda: k(70), 3 * math.comb(70, 4)),
+        (lambda: k(80), 3 * math.comb(80, 4)),
+        # the sides as two ranges, then interleaved
+        (lambda: complete_bipartite(list(range(30)), list(range(30, 71))),
+         math.comb(30, 2) * math.comb(41, 2)),
+        (lambda: complete_bipartite(list(range(0, 75, 3)), [v for v in range(75) if v % 3]),
+         math.comb(25, 2) * math.comb(50, 2)),
+        (lambda: complete_bipartite(list(range(2, 90, 11)), [v for v in range(90) if v % 11 != 2]),
+         math.comb(8, 2) * math.comb(82, 2)),
+    ])
+    def test_closed_forms_above_the_bruteforce_cap(self, builder, expected):
+        g = builder()
+        assert g.n > MAX_BRUTEFORCE_N
+        assert count_c4(g) == expected
+        assert not is_c4_free(g)
 
     @pytest.mark.parametrize("n,p,seed", [
         (8, 0.3, 1), (8, 0.7, 2), (12, 0.2, 3), (12, 0.5, 4),
@@ -441,7 +490,7 @@ class TestCountC4:
 
     def test_parity_invariant_survives_optimize(self):
         # a hand-built asymmetric CSR: 0, 1 -> {2, 3} and rows 2, 3 empty, so
-        # the pair (0, 1) has codegree 2 and the upper mass C(2, 2) is odd
+        # the scan takes the wedges 0-2-1 and 0-3-1 where rows 2, 3 give none
         result = run_python(
             "-O",
             "-c",
@@ -449,7 +498,7 @@ class TestCountC4:
             "count_c4(Graph(4, np.array([0, 2, 4, 4, 4]), np.array([2, 3, 2, 3])))",
         )
         assert result.returncode != 0
-        assert "AssertionError: codegree choose-2 mass 1 must be even" in result.stderr
+        assert "AssertionError: 2 wedges enumerated, but the rows give 0" in result.stderr
 
     def test_fast_route_degree_limit(self):
         hub = (1 << 10) + 1

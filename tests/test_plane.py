@@ -404,7 +404,7 @@ def test_codegree_blocks_of_non_square_structures(monkeypatch, block, ratio):
         i_ref, x_ref = np.nonzero(codeg)
         listed = [
             _listing(lo, s.n_lines, codes, c)
-            for lo, _, codes, c in _codegree_blocks(s.line_ptr, s.line_idx)
+            for lo, _, codes, c, _ in _codegree_blocks(s.line_ptr, s.line_idx)
         ]
         i, x, c = (np.concatenate(part) for part in zip(*listed)) if listed else ([], [], [])
         assert list(i) == i_ref.tolist()
