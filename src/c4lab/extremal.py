@@ -432,26 +432,3 @@ def turan_lower_bound(n: int) -> dict:
         "p_lower_ok": _p_window_ok(n, p),
     }
 
-
-def corollary_turan_decision(q: int, lambda_lower: int, slack: int) -> dict:
-    """Case split for the even-order Turán corollary, as a formula evaluator.
-
-    threshold = q(q+1)^2/2 - q/2 + slack; branch 1 when the certified lower
-    bound reaches it (then ex equals lambda), branch 2 otherwise (then the
-    threshold is an exclusive upper bound).  Not a proof, an evaluator.
-    """
-    if q % 2:
-        raise ValueError("odd order")
-    if q < 2:
-        raise ValueError("q must be a positive even integer")
-    threshold = q * (q + 1) ** 2 // 2 - q // 2 + slack
-    branch = 1 if lambda_lower >= threshold else 2
-    return {
-        "q": q,
-        "slack": slack,
-        "lambda_lower": lambda_lower,
-        "threshold": threshold,
-        "branch": branch,
-        "bound": max(lambda_lower, threshold),
-        "ex_equals_lambda": branch == 1,
-    }

@@ -6,9 +6,9 @@ polynomial, low degree first.  Index order therefore matches the canonical
 element enumeration (0 first, constants before x, e.g. GF(4) = [0, 1, x, x+1]).
 Polynomial coefficient vectors everywhere in this module are low degree first.
 
-Scalar arithmetic is exposed through FieldElement operator overloads;
-vectorized arithmetic on numpy index arrays (used by the plane builder) goes
-through the v* methods of FieldSpec.  Both reduce modulo the same fixed
+Scalar arithmetic on indices takes the polynomial route of FieldSpec's *_index
+methods, which also build the exp/log tables behind the v* methods that the
+plane builder applies to numpy index arrays.  Both reduce modulo the same fixed
 irreducible polynomial, found by lexicographic search unless given explicitly.
 """
 
@@ -212,9 +212,6 @@ class FieldSpec:
             idx += (int(c) % self.p) * self.p**i
         return idx
 
-    def element(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
-
     # -- scalar index arithmetic (polynomial route, table-free) ----------
 
     def add_index(self, i: int, j: int) -> int:
@@ -326,90 +323,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, k={self.k}, modulus={self.modulus})"
-
-
-def _poly_str(coeffs: Sequence[int]) -> str:
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append("x" if c == 1 else f"{c}*x")
-        else:
-            terms.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
-    return " + ".join(terms) if terms else "0"
-
-
-class FieldElement:
-    """An element of GF(p^k), identified by its canonical index within a FieldSpec."""
-
-    __slots__ = ("spec", "index")
-
-    def __init__(self, spec: FieldSpec, index: int):
-        if not 0 <= index < spec.q:
-            raise ValueError(f"element index {index} out of range for GF({spec.q})")
-        self.spec = spec
-        self.index = int(index)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.coeffs_of(self.index)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
-            raise TypeError("operands belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add_index(self.index, other.index))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_index(self.index))
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul_index(self.index, other.index))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(
-            self.spec, self.spec.mul_index(self.index, self.spec.inv_index(other.index))
-        )
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_index(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_index(self.index))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.spec == self.spec
-            and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __repr__(self):
-        return f"FieldElement(GF({self.spec.q}), {_poly_str(self.coeffs)})"
-
-
-def enumerate_field(spec: FieldSpec) -> list[FieldElement]:
-    """All q elements in canonical order: zero first, then by coefficient vector
-    compared from the highest degree coefficient down (GF(4): 0, 1, x, x+1)."""
-    return [FieldElement(spec, i) for i in range(spec.q)]
 
 
 def spec_for_order(q: int) -> FieldSpec:

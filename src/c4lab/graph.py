@@ -19,7 +19,9 @@ the priority); the pair statistics keep the full codegrees.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -217,6 +219,19 @@ def is_c4_free(g: Graph) -> bool:
     return all(c.max(initial=0) <= 1 for *_, c, _ in blocks)
 
 
+@lru_cache(maxsize=None)
+def _quadruples(n: int) -> np.ndarray:
+    """The vertex quadruples a < b < c < d of range(n), one read-only uint8 row each.
+
+    Cached per n <= MAX_BRUTEFORCE_N; all 61 arrays for n = 4..64 together
+    take 4*C(65, 5) bytes, at most 33 MB.
+    """
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 4))
+    quads = np.fromiter(flat, dtype=np.uint8, count=4 * math.comb(n, 4)).reshape(-1, 4)
+    quads.flags.writeable = False
+    return quads
+
+
 def count_c4_bruteforce(g: Graph) -> int:
     """Oracle count: enumerate all vertex quadruples on a dense boolean matrix."""
     if g.n > MAX_BRUTEFORCE_N:
@@ -227,7 +242,7 @@ def count_c4_bruteforce(g: Graph) -> int:
     e = g.edges()
     adj[e[:, 0], e[:, 1]] = True
     adj[e[:, 1], e[:, 0]] = True
-    quads = np.array(list(itertools.combinations(range(g.n), 4)), dtype=np.int32)
+    quads = _quadruples(g.n)
     a, b, c, d = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
     ab, ac, ad = adj[a, b], adj[a, c], adj[a, d]
     bc, bd, cd = adj[b, c], adj[b, d], adj[c, d]
@@ -302,10 +317,6 @@ class GraphStats:
     p2: int
     up: int
     d0: np.ndarray  # per-vertex count of vertices sharing no common neighbour
-
-    def s_exact(self, i: int) -> np.ndarray:
-        """Vertices of degree exactly i."""
-        return np.flatnonzero(self.degrees == i)
 
 
 def graph_stats(g: Graph, q: int) -> GraphStats:

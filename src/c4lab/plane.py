@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -555,7 +555,7 @@ def extend_one_intersecting(
 
 
 # ---------------------------------------------------------------------------
-# order exclusion and symmetry
+# order exclusion
 
 
 def bruck_ryser_excluded(q: int) -> bool:
@@ -571,56 +571,6 @@ def bruck_ryser_excluded(q: int) -> bool:
         if r * r == b2:
             return False
     return True
-
-
-@dataclass
-class PartialSymmetryResult:
-    is_plane: bool
-    premise_holds: bool
-    fully_symmetric: bool
-    witness: tuple | None
-    detail: str = ""
-
-
-def partial_symmetry_verify(m: np.ndarray, q: int) -> PartialSymmetryResult:
-    """Check the symmetry-propagation property of a plane incidence matrix.
-
-    Premise: m[i][j] == m[j][i] whenever i or j is among the first q^2-q+3
-    rows/columns (1-based).  For a genuine plane incidence matrix the premise
-    forces full symmetry; the result records both flags plus a witness entry
-    when full symmetry fails.
-    """
-    m = np.asarray(m)
-    n = q * q + q + 1
-    if m.ndim != 2 or m.shape != (n, n):
-        raise ValueError(f"matrix must be {n} x {n} for order {q}")
-    if not np.all((m == 0) | (m == 1)):
-        raise ValueError("matrix entries must be 0 or 1")
-    # a 0/1 square matrix's rows are sorted, distinct, in-range point sets
-    sizes = np.count_nonzero(m, axis=1)
-    rows_as_lines = IncidenceStructure._from_csr(
-        n, np.concatenate([[0], np.cumsum(sizes)]), np.nonzero(m)[1].astype(np.int32)
-    )
-    verdict = verify_projective_plane(rows_as_lines)
-    if not verdict.ok:
-        raise ValueError(
-            f"not a plane incidence matrix: {verdict.axiom} fails ({verdict.detail})"
-        )
-    t = q * q - q + 3  # 1-based threshold; rows/cols 0..t-1 in 0-based terms
-    premise = bool(np.array_equal(m[:t, :], m[:, :t].T))
-    fully = bool(np.array_equal(m, m.T))
-    witness = None
-    if not fully:
-        diff = np.argwhere(m != m.T)
-        witness = (int(diff[0][0]), int(diff[0][1]))
-    detail = (
-        "premise row/column band symmetric and matrix fully symmetric"
-        if premise and fully
-        else "premise band asymmetric"
-        if not premise
-        else f"premise holds yet full symmetry fails at {witness}"
-    )
-    return PartialSymmetryResult(True, premise, fully, witness, detail)
 
 
 # ---------------------------------------------------------------------------

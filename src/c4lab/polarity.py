@@ -226,20 +226,6 @@ def degree_q_independence(g, q: int | None = None) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def lambda_lower(spec: FieldSpec) -> dict:
-    """Best known edge count for a C4-free polarity construction of order q.
-
-    This is the orthogonal graph's exact size; without enumerating all
-    polarities it is only a lower bound for the true maximum, hence the flag.
-    """
-    pg = polarity_graph(orthogonal_polarity(spec))
-    return {
-        "q": spec.q,
-        "value": pg.edge_count,
-        "lower_bound_only": True,
-    }
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -413,12 +413,15 @@ def upper_count_audit(pg: PolarityGraph, add) -> dict:
 
     C0 = cycles through exactly one added edge (at most s(q+1)); C1 = the
     rest (at most 2*C(s,2)).  The partition total is cross-checked against a
-    global count.
+    global count.  An edge listed twice in add, in either orientation, is
+    refused, since it would double the budgets for the same cycles.
     """
     s = len(add)
     if s > 64:
         raise ValueError("at most 64 added edges are supported")
     q = pg.q
+    if len(np.unique(_edge_codes(pg.graph.n, add))) < s:
+        raise ValueError("an edge is listed twice in add")
     g2 = pg.graph.add_edges(add)
     c0, c1 = _cycle_partition(g2, add)
     bound_c0 = s * (q + 1)

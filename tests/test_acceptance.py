@@ -5,6 +5,7 @@ functions in c4lab.acceptance hold the substance, this file is the pytest
 harness plus the visible one-line verdicts.
 """
 
+import inspect
 import re
 from dataclasses import replace
 
@@ -33,6 +34,18 @@ def test_registry_is_complete():
     assert NUMBERS == list(range(1, 13))
     with pytest.raises(ValueError, match="no criterion"):
         run_criterion(99)
+
+
+def test_package_exports_match_all():
+    # a name deleted from a module must leave both lists of __init__.py
+    assert len(set(c4lab.__all__)) == len(c4lab.__all__)
+    assert [name for name in c4lab.__all__ if not hasattr(c4lab, name)] == []
+    imported = {
+        name for name, obj in vars(c4lab).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+        and getattr(obj, "__module__", "").startswith("c4lab.")
+    }
+    assert sorted(imported - set(c4lab.__all__)) == []
 
 
 def swapped_er_graph(q: int):

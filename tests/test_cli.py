@@ -217,6 +217,13 @@ class TestSupersatCommands:
         assert code == 0
         assert payload["s"] == 2 and payload["bound_ok"]
 
+    def test_audit_refuses_a_repeated_edge(self, capsys):
+        code, out, err = run(
+            capsys, "supersat", "audit", "--q", "16", "--add", "2,18", "--add", "2,18"
+        )
+        assert code == 2 and out == ""
+        assert "an edge is listed twice in add" in err
+
     def test_domain_error_is_usage_exit(self, capsys):
         code, _, err = run(capsys, "supersat", "matching", "--q", "9", "--t", "1")
         assert code == 2

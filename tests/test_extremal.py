@@ -15,7 +15,6 @@ from c4lab.extremal import (
     _iroot,
     _p_window_ok,
     _surd_sign,
-    corollary_turan_decision,
     furedi_value,
     h_bruteforce,
     prime_in_interval,
@@ -369,30 +368,3 @@ class TestTuranLowerBound:
         assert not _p_window_ok(10**4, 80)
         assert not _p_window_ok(10**4, 87)
         assert _p_window_ok(10**4, 88)
-
-
-class TestCorollaryDecision:
-    def test_branch_one(self):
-        r = corollary_turan_decision(8, lambda_lower=324, slack=0)
-        assert r["branch"] == 1 and r["bound"] == 324
-        assert r["threshold"] == 320
-        assert r["ex_equals_lambda"]
-
-    def test_branch_one_q2(self):
-        r = corollary_turan_decision(2, lambda_lower=9, slack=0)
-        assert r["branch"] == 1 and r["bound"] == 9
-
-    def test_branch_two_no_plane(self):
-        r = corollary_turan_decision(6, lambda_lower=0, slack=0)
-        assert r["branch"] == 2
-        assert r["threshold"] == 144 and r["bound"] == 144
-        assert not r["ex_equals_lambda"]
-
-    def test_slack_shifts_threshold(self):
-        base = corollary_turan_decision(8, lambda_lower=324, slack=0)["threshold"]
-        assert corollary_turan_decision(8, 324, slack=5)["threshold"] == base + 5
-        assert corollary_turan_decision(8, 324, slack=5)["branch"] == 2
-
-    def test_odd_rejected(self):
-        with pytest.raises(ValueError, match="odd order"):
-            corollary_turan_decision(7, 100, 0)

@@ -6,8 +6,6 @@ import pytest
 from c4lab.field import (
     poly_mod,
     FieldSpec,
-    FieldElement,
-    enumerate_field,
     find_irreducible,
     is_irreducible,
     poly_powmod,
@@ -51,24 +49,22 @@ def test_find_irreducible_divides_frobenius_polynomial(p, k):
 
 def test_gf4_multiplication_table():
     gf4 = FieldSpec(2, 2)
-    x = gf4.element(2)
-    one = gf4.element(1)
-    assert (x * x).coeffs == (1, 1)  # x * x = x + 1
-    assert x * x == gf4.element(3)
-    assert (x * (x + one)).index == 1  # x * (x+1) = x^2 + x = 1
-    assert (x + x).index == 0
+    x, one = 2, 1
+    assert gf4.coeffs_of(gf4.mul_index(x, x)) == (1, 1)  # x * x = x + 1
+    assert gf4.mul_index(x, x) == 3
+    assert gf4.mul_index(x, gf4.add_index(x, one)) == 1  # x * (x+1) = x^2 + x = 1
+    assert gf4.add_index(x, x) == 0
 
 
 def test_enumeration_order_and_roundtrip():
     gf4 = FieldSpec(2, 2)
-    elems = enumerate_field(gf4)
-    assert [e.coeffs for e in elems] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert [gf4.coeffs_of(i) for i in range(gf4.q)] == [(0, 0), (1, 0), (0, 1), (1, 1)]
     gf9 = FieldSpec(3, 2)
-    elems9 = enumerate_field(gf9)
-    assert elems9[0].index == 0
-    assert [e.coeffs for e in elems9[:4]] == [(0, 0), (1, 0), (2, 0), (0, 1)]
-    for e in elems9:
-        assert gf9.index_of(e.coeffs) == e.index
+    assert [gf9.coeffs_of(i) for i in range(4)] == [(0, 0), (1, 0), (2, 0), (0, 1)]
+    for i in range(gf9.q):
+        assert gf9.index_of(gf9.coeffs_of(i)) == i
+    with pytest.raises(ValueError):
+        gf9.coeffs_of(gf9.q)
 
 
 def test_spec_rejects_bad_parameters():
@@ -96,24 +92,25 @@ def test_field_axioms_sampled(p, k):
     spec = FieldSpec(p, k)
     q = spec.q
     rng = np.random.default_rng(20240817 + q)
-    one = spec.element(1)
-    zero = spec.element(0)
+    add, mul, neg, pw = spec.add_index, spec.mul_index, spec.neg_index, spec.pow_index
     idx = rng.integers(0, q, size=(60, 3))
     for ia, ib, ic in idx:
-        a, b, c = spec.element(ia), spec.element(ib), spec.element(ic)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + zero == a and a * one == a
-        assert a + (-a) == zero
-        assert (a + b) ** p == a**p + b**p  # Frobenius
+        a, b, c = int(ia), int(ib), int(ic)
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, 0) == a and mul(a, 1) == a
+        assert add(a, neg(a)) == 0
+        assert pw(add(a, b), p) == add(pw(a, p), pw(b, p))  # Frobenius
     nonzero = range(1, q) if q <= 64 else rng.integers(1, q, size=64)
     for i in nonzero:
-        e = spec.element(int(i))
-        assert e * e.inverse() == one
-        assert e ** (q - 1) == one
+        e = int(i)
+        assert mul(e, spec.inv_index(e)) == 1
+        assert pw(e, q - 1) == 1
+    with pytest.raises(ZeroDivisionError):
+        spec.inv_index(0)
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6)])
@@ -168,16 +165,3 @@ def test_packed_gf2_route_agrees_exhaustively(k):
         for b in range(spec.q):
             assert gf2_packed_mul(a, b, spec.modulus) == spec.mul_index(a, b)
 
-
-def test_element_api_misc():
-    gf8 = FieldSpec(2, 3)
-    a = gf8.element(5)
-    b = gf8.element(3)
-    assert a / b * b == a
-    assert repr(a).startswith("FieldElement(GF(8)")
-    assert not gf8.element(0)
-    with pytest.raises(ZeroDivisionError):
-        a / gf8.element(0)
-    gf9 = FieldSpec(3, 2)
-    with pytest.raises(TypeError):
-        a + gf9.element(1)

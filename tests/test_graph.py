@@ -1,5 +1,6 @@
 """Graph construction, four-cycle counting (both routes), and pair statistics."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from c4lab.graph import (
     MAX_COUNT_N,
     Graph,
     _c4_through_edge,
+    _quadruples,
     c4_through_edge,
     claim_c4_inequality,
     codegree,
@@ -484,6 +486,14 @@ class TestCountC4:
         with pytest.raises(ValueError, match="capped"):
             count_c4_bruteforce(from_edges(65, []))
 
+    def test_bruteforce_quadruples_are_cached_read_only(self):
+        quads = _quadruples(MAX_BRUTEFORCE_N)
+        assert _quadruples(MAX_BRUTEFORCE_N) is quads
+        assert quads.dtype == np.uint8 and not quads.flags.writeable
+        assert quads.shape == (math.comb(MAX_BRUTEFORCE_N, 4), 4)
+        assert quads[-1].tolist() == [60, 61, 62, 63]
+        assert _quadruples(6).tolist() == [list(c) for c in itertools.combinations(range(6), 4)]
+
     def test_fast_route_vertex_limit(self):
         with pytest.raises(ValueError, match="certified"):
             count_c4(from_edges((1 << 17) + 1, []))
@@ -632,7 +642,6 @@ class TestGraphStats:
         st = graph_stats(g, q=2)
         assert st.degree_histogram == {1: 2, 2: 2, 4: 1}
         assert st.s_below.tolist() == [1, 2, 3, 4]
-        assert st.s_exact(2).tolist() == [1, 2]
         assert st.f_values.tolist() == [0, 1, 1, 2, 2]
         assert st.f_total == 6
         assert st.p2 == 6 + 1 + 1

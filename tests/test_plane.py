@@ -19,7 +19,6 @@ from c4lab.plane import (
     is_one_intersecting,
     extend_one_intersecting,
     bruck_ryser_excluded,
-    partial_symmetry_verify,
     read_incidence,
     write_incidence,
     triple_of_index,
@@ -308,55 +307,6 @@ def test_bruck_ryser_exclusions():
         bruck_ryser_excluded(0)
 
 
-def test_partial_symmetry_on_symmetric_incidence():
-    plane = build_pg2(FIELDS[3])
-    n = plane.n_points
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        m[i, plane.line(i)] = 1  # line i is the polar of point i: symmetric
-    res = partial_symmetry_verify(m.T, plane.q)
-    assert res.is_plane and res.premise_holds and res.fully_symmetric
-    assert res.witness is None
-
-
-def test_partial_symmetry_detects_asymmetric_labelling():
-    plane = build_pg2(FIELDS[3])
-    n = plane.n_points
-    rng = np.random.default_rng(5)
-    perm = rng.permutation(n)
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        m[i, plane.line(int(perm[i]))] = 1
-    res = partial_symmetry_verify(m, plane.q)
-    assert res.is_plane
-    assert not res.fully_symmetric and res.witness is not None
-    assert not res.premise_holds  # generic shuffles break the band too
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_partial_symmetry_reads_rows_like_the_validating_constructor(q):
-    plane = build_pg2(FIELDS[q])
-    n = plane.n_points
-    m = np.zeros((n, n), dtype=np.int64)
-    for i, line in enumerate(plane.lines()):
-        m[i, line] = 1
-    rng = np.random.default_rng(q)
-    broken = m.copy()
-    broken[0] = 0
-    broken[0, : q + 1] = 1  # line 0 becomes the first q + 1 points
-    for mat in (m, m[rng.permutation(n)], m[rng.permutation(n)], broken):
-        oracle = verify_projective_plane(
-            IncidenceStructure(n, [np.flatnonzero(row) for row in mat])
-        )
-        if oracle.ok:
-            res = partial_symmetry_verify(mat, q)
-            assert res.is_plane
-            assert res.fully_symmetric == bool(np.array_equal(mat, mat.T))
-        else:
-            with pytest.raises(ValueError, match=re.escape(oracle.detail)):
-                partial_symmetry_verify(mat, q)
-
-
 def transpose_structures():
     """PG(2, q <= 5) and 40 seeded structures whose lines differ in number from
     the points, with empty lines and unused points among them."""
@@ -410,17 +360,6 @@ def test_codegree_blocks_of_non_square_structures(monkeypatch, block, ratio):
         assert list(i) == i_ref.tolist()
         assert list(x) == x_ref.tolist()
         assert list(c) == codeg[i_ref, x_ref].tolist()
-
-
-def test_partial_symmetry_rejects_non_plane():
-    with pytest.raises(ValueError, match="not a plane incidence matrix"):
-        partial_symmetry_verify(np.ones((7, 7), dtype=int), 2)
-    with pytest.raises(ValueError):
-        partial_symmetry_verify(np.zeros((5, 5), dtype=int), 2)
-    bad = np.zeros((7, 7), dtype=int)
-    bad[0, 0] = 2
-    with pytest.raises(ValueError):
-        partial_symmetry_verify(bad, 2)
 
 
 def test_incidence_roundtrip_is_byte_exact(tmp_path):

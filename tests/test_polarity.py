@@ -16,7 +16,6 @@ from c4lab.polarity import (
     Polarity,
     PolarityVerdict,
     degree_q_independence,
-    lambda_lower,
     orthogonal_polarity,
     polarity_graph,
     read_polarity,
@@ -291,12 +290,6 @@ class TestDegreeQIndependence:
     def test_plain_graph_requires_q(self):
         with pytest.raises(ValueError, match="required"):
             degree_q_independence(from_edges(3, [(0, 1)]))
-
-
-class TestLambdaLower:
-    def test_flagged_value(self):
-        out = lambda_lower(spec_for_order(4))
-        assert out == {"q": 4, "value": 50, "lower_bound_only": True}
 
 
 class TestSerialization:

@@ -627,14 +627,13 @@ class TestUpperCountAudit:
         # partition completeness against the global count
         assert out["total"] == count_c4(pg.graph.add_edges(add))
 
-    def test_repeated_edge_counts_once(self):
-        pg = er_graph(8)
-        a = pg.absolute_points
-        e = (int(a[0]), int(a[1]))
-        once = upper_count_audit(pg, [e])
-        twice = upper_count_audit(pg, [e, e[::-1]])
-        assert twice["s"] == 2
-        assert (twice["C0"], twice["C1"], twice["total"]) == (once["C0"], 0, once["total"])
+    def test_repeated_edge_refused(self):
+        # listed twice, one non-edge would be audited against twice its budget
+        pg = er_graph(4)
+        assert upper_count_audit(pg, [(0, 2)])["s"] == 1
+        for add in ([(0, 2), (0, 2)], [(0, 2), (2, 0)]):
+            with pytest.raises(ValueError, match="an edge is listed twice in add"):
+                upper_count_audit(pg, add)
 
     def test_empty_add(self):
         out = upper_count_audit(er_graph(4), [])
