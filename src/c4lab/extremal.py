@@ -5,8 +5,9 @@ ex(n, C4) is searched exactly by vertex extension: the C4-free graphs that
 could beat a pendant-vertex lower bound are rebuilt one vertex of minimum
 degree at a time, with isomorphs rejected through a pure-Python canonical
 form on int bitsets (Clapham, Flockhart & Sheehan, J. Graph Theory 1989;
-McKay, J. Algorithms 1998).  h(n, t) keeps an edge-by-edge DFS, since its
-graphs contain 4-cycles.
+McKay, J. Algorithms 1998).  h(n, t) completes the same classes: a graph
+with ex + t edges and c four-cycles is a C4-free graph with at least
+ex + t - c edges plus some of its non-edges, so h(n, t) >= t.
 
 Every boundary comparison involving the fractional exponents 21/40 and 101/80
 is decided with integer cross-powering (surd arithmetic over sqrt(n)), never
@@ -16,12 +17,12 @@ floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
 from c4lab.primes import is_prime
 
 MAX_TURAN_N = 16
-MAX_H_N = 9
+MAX_H_N = 13
 
 FUREDI_EXCLUDED = frozenset({1, 7, 9, 11, 13})
 
@@ -55,10 +56,6 @@ class TuranRecord:
     ex_value: int
     extremal_count: int
     method: str
-
-
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def _equitable(adj: list[int], cells: list[int], pending: set[int]) -> list[int]:
@@ -204,9 +201,9 @@ def _extend(level, k: int, need: int):
             yield [a | (s >> v & 1) << (k - 1) for v, a in enumerate(adj)] + [s]
 
 
-def _extremal_classes(n: int, least: int) -> tuple[int, set[int]]:
-    """The largest edge count of a C4-free graph on n >= 2 vertices, known to
-    be at least `least`, and the canonical keys of the graphs attaining it.
+def _c4_free_graphs(n: int, least: int) -> list[tuple[int, list[int]]]:
+    """The C4-free graphs on n >= 2 vertices with at least `least` edges, as
+    (edge count, neighbour bitsets), each isomorphism class at least once.
 
     Level k holds the C4-free graphs on k vertices with at least T_k edges,
     T_n = least.  A graph on k vertices with e edges has a vertex of degree
@@ -222,87 +219,105 @@ def _extremal_classes(n: int, least: int) -> tuple[int, set[int]]:
     level = {0}  # the one graph on one vertex
     for k in range(2, n):
         level = {_canonical_key(g) for g in _extend(level, k, need[k])}
-    children = [(sum(a.bit_count() for a in g) // 2, g) for g in _extend(level, n, least)]
-    top = max(edges for edges, _ in children)
-    return top, {_canonical_key(g) for edges, g in children if edges == top}
+    return [(sum(a.bit_count() for a in g) // 2, g) for g in _extend(level, n, least)]
+
+
+def _top_level(n: int) -> tuple[int, int, list]:
+    """ex(n, C4), least = ex(n-1, C4) + 1 (0 at n = 1) and the C4-free graphs
+    on n vertices with at least `least` edges.  A pendant vertex shows
+    ex(m) >= ex(m-1) + 1, so each ex(m) in turn is the most edges among them."""
+    best, least, graphs = 0, 0, [(0, [0])]
+    for m in range(2, n + 1):
+        least = best + 1
+        graphs = _c4_free_graphs(m, least)
+        best = max(edges for edges, _ in graphs)
+    return best, least, graphs
 
 
 def turan_bruteforce(n: int) -> TuranRecord:
-    """Exact ex(n, C4) and the number of extremal graphs up to isomorphism.
-
-    Orders 1..n are solved in turn.  A pendant vertex shows
-    ex(m) >= ex(m-1) + 1, so ex(m) is the largest edge count among the
-    C4-free graphs on m vertices with at least ex(m-1) + 1 edges, which are
-    generated exhaustively by vertex extension with isomorph rejection.
-    Nothing is kept between calls.
-    """
+    """Exact ex(n, C4) and the number of extremal graphs up to isomorphism, by
+    vertex extension with isomorph rejection; nothing is kept between calls."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_TURAN_N:
         raise ValueError(f"turan_bruteforce is capped at n = {MAX_TURAN_N}")
-    best, classes = 0, 1  # the one graph on one vertex
-    for m in range(2, n + 1):
-        best, keys = _extremal_classes(m, best + 1)
-        classes = len(keys)
+    best, _, graphs = _top_level(n)
+    classes = len({_canonical_key(g) for edges, g in graphs if edges == best})
     record = TuranRecord(n=n, ex_value=best, extremal_count=classes, method="bruteforce")
     if record.ex_value > reiman_bound(n):
         raise AssertionError(f"ex({n}, C4) = {best} exceeds the Reiman bound")
     return record
 
 
+def _complete(graphs, target: int, best: int) -> int:
+    """The fewest 4-cycles of a graph with `target` edges that contains one
+    of `graphs` (C4-free, as (edge count, bitsets)) if below `best`, else best.
+
+    A graph with c < best cycles has a largest C4-free subgraph H with more
+    than target - best edges, and each of its other edges closes a 4-cycle
+    in H.  So one graph per class, most edges first, gains such non-edges in
+    a DFS that stops at `best`, and classes with fewer edges are skipped.
+    """
+    seen = set()
+    for edges, adj in sorted(graphs, key=lambda pair: -pair[0]):
+        if edges <= target - best:
+            break
+        if (key := _canonical_key(adj)) in seen:
+            continue
+        seen.add(key)
+
+        def paths(u: int, v: int) -> int:  # the 3-paths u-a-b-v, one new 4-cycle each
+            made, rem = 0, adj[v]
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                made += (adj[low.bit_length() - 1] & adj[u]).bit_count()
+            return made
+
+        k = len(adj)
+        gaps = [(u, v) for u in range(k) for v in range(u) if not adj[u] >> v & 1 and paths(u, v)]
+
+        def dfs(i: int, left: int, cycles: int) -> None:
+            nonlocal best
+            if not left:
+                best = cycles
+                return
+            for j in range(i, len(gaps) - left + 1):
+                u, v = gaps[j]
+                made = cycles + paths(u, v)
+                if made < best:
+                    adj[u], adj[v] = adj[u] | 1 << v, adj[v] | 1 << u
+                    dfs(j + 1, left - 1, made)
+                    adj[u], adj[v] = adj[u] ^ 1 << v, adj[v] ^ 1 << u
+
+        dfs(0, target - edges, 0)
+    return best
+
+
 def h_bruteforce(n: int, t: int) -> int:
     """Exact minimum C4 count over graphs with n vertices and ex(n,C4)+t edges.
 
-    Exhaustive DFS over edge supersets; prunes on edge counts and on the
-    monotone cycle count.  Correctness over speed.
+    Deleting one edge from each 4-cycle of such a graph G with c cycles
+    leaves a C4-free H with ex + t - c <= e(H) <= ex, so h >= t and G is H
+    plus ex + t - e(H) of its non-edges.  The extremal classes come first, and
+    the classes below ex(n-1, C4) + 1 edges are enumerated only if they can win.
     """
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
     if n > MAX_H_N:
         raise ValueError(f"h_bruteforce is capped at n = {MAX_H_N}")
-    ex = turan_bruteforce(n).ex_value
+    ex, least, graphs = _top_level(n)
     target = ex + t
     if target > n * (n - 1) // 2:
         raise ValueError(f"{target} edges do not fit on {n} vertices")
     if t == 0:
         return 0  # the extremal graph itself is C4-free
-    pairs = _all_pairs(n)
-    total = len(pairs)
-    adj = [0] * n
-    best = None
-
-    def new_cycles(u: int, v: int) -> int:
-        # one new 4-cycle per 3-path u-a-b-v
-        au = adj[u]
-        created = 0
-        rem = adj[v] & ~(1 << u)
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            created += (adj[low.bit_length() - 1] & au).bit_count()
-        return created
-
-    def dfs(i: int, chosen: int, cycles: int) -> None:
-        nonlocal best
-        if best is not None and cycles >= best:
-            return
-        if chosen == target:
-            best = cycles
-            return
-        if total - i < target - chosen:
-            return
-        u, v = pairs[i]
-        made = new_cycles(u, v)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        dfs(i + 1, chosen + 1, cycles + made)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        dfs(i + 1, chosen, cycles)
-
-    dfs(0, 0, 0)
-    if best is None:
-        raise AssertionError(f"no graph with {target} edges on {n} vertices was searched")
+    best = _complete(graphs, target, 3 * comb(n, 4) + 1)  # K_n has 3 C(n, 4)
+    if target - best + 1 < least:
+        lower = _c4_free_graphs(n, target - best + 1)
+        best = _complete([p for p in lower if p[0] < least], target, best)
+    if best < t:
+        raise AssertionError(f"h({n}, {t}) = {best} is below t")
     return best
 
 

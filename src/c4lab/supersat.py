@@ -377,11 +377,11 @@ def classify_perturbation(pg: PolarityGraph, add, remove) -> ExperimentReport:
     the range needs q much larger than s, so the verdict is informative.  The
     count is the base's cached count, less the cycles through the removed
     edges, plus the cycles through the added ones.  An edge listed twice in
-    add or in remove is refused.
+    add or in remove, or with an endpoint that is not an integer, is refused.
     """
     t0 = time.perf_counter()
-    add = [sorted((int(a), int(b))) for a, b in add]
-    remove = [sorted((int(a), int(b))) for a, b in remove]
+    n = pg.graph.n
+    add, remove = ([list(divmod(c, n)) for c in _edge_codes(n, e).tolist()] for e in (add, remove))
     if len(add) != len(remove) + 1:
         raise ValueError("need exactly one more added edge than removed")
     for name, edges in (("add", add), ("remove", remove)):

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from c4lab import extremal
 from c4lab.extremal import (
     FUREDI_EXCLUDED,
+    MAX_H_N,
     MAX_TURAN_N,
     _canonical_key,
     _decode_key,
@@ -25,6 +27,7 @@ from c4lab.extremal import (
 from c4lab.field import spec_for_order
 from c4lab.polarity import orthogonal_polarity, polarity_graph
 from c4lab.primes import is_prime
+from c4lab.supersat import add_edge_experiment, er_graph
 
 
 class TestReimanBound:
@@ -246,6 +249,52 @@ class TestCanonicalKey:
                     assert len(counts) == 1
 
 
+def dfs_h(n: int, t: int) -> int:
+    """h(n, t) by DFS over every edge set with ex(n, C4) + t edges: the
+    search that the extension of C4-free classes replaced, kept as its
+    independent oracle.  Prunes on edge counts and on the monotone cycle
+    count."""
+    pairs = list(itertools.combinations(range(n), 2))
+    target = EX_KNOWN[n] + t
+    adj = [0] * n
+    best = None
+
+    def new_cycles(u: int, v: int) -> int:
+        # one new 4-cycle per 3-path u-a-b-v
+        created = 0
+        rem = adj[v] & ~(1 << u)
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            created += (adj[low.bit_length() - 1] & adj[u]).bit_count()
+        return created
+
+    def dfs(i: int, chosen: int, cycles: int) -> None:
+        nonlocal best
+        if best is not None and cycles >= best:
+            return
+        if chosen == target:
+            best = cycles
+            return
+        if len(pairs) - i < target - chosen:
+            return
+        u, v = pairs[i]
+        made = new_cycles(u, v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        dfs(i + 1, chosen + 1, cycles + made)
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        dfs(i + 1, chosen, cycles)
+
+    dfs(0, 0, 0)
+    return best
+
+
+# every (n, t) with n <= 7 whose ex(n) + t edges fit on n vertices
+H_FEASIBLE = [(n, t) for n in range(1, 8) for t in range(n * (n - 1) // 2 - EX_KNOWN[n] + 1)]
+
+
 class TestHBruteforce:
     def test_trivial_t0(self):
         for n in (4, 5, 6):
@@ -255,14 +304,35 @@ class TestHBruteforce:
         # the unique 5-edge graph on 4 vertices has exactly one 4-cycle
         assert h_bruteforce(4, 1) == 1
 
+    @pytest.mark.parametrize("n,t", H_FEASIBLE)
+    def test_matches_dfs_oracle(self, n, t):
+        assert h_bruteforce(n, t) == dfs_h(n, t)
+
     def test_frozen_oracle_values(self):
-        # derived by this oracle, then frozen
+        # derived by the DFS oracle, then frozen: it takes 3-11 s at n = 8
         assert h_bruteforce(7, 1) == 1
         assert h_bruteforce(6, 2) == 3
+        assert h_bruteforce(8, 1) == 1
+        assert h_bruteforce(8, 2) == 2
+
+    def test_er3_plus_an_edge_attains_h13(self):
+        # ER(3) has ex(13, C4) = 24 edges; joining two absolute points (degree
+        # q = 3) closes q - 1 = 2 four-cycles, the least any 25-edge graph has
+        assert h_bruteforce(13, 1) == 2
+        pg = er_graph(3)
+        u, v = (int(a) for a in pg.absolute_points[:2])
+        assert pg.graph.degrees()[[u, v]].tolist() == [3, 3]
+        assert add_edge_experiment(pg, u, v).measured["count"] == 2
+
+    def test_count_below_t_is_a_defect(self, monkeypatch):
+        # h >= t by the lemma, so a smaller result is an internal defect, under -O too
+        monkeypatch.setattr(extremal, "_complete", lambda graphs, target, best: 0)
+        with pytest.raises(AssertionError, match="below t"):
+            h_bruteforce(7, 1)
 
     def test_limits(self):
         with pytest.raises(ValueError, match="capped"):
-            h_bruteforce(10, 1)
+            h_bruteforce(MAX_H_N + 1, 1)
         with pytest.raises(ValueError, match="do not fit"):
             h_bruteforce(4, 3)  # ex(4)+3 = 7 > 6 pairs
         with pytest.raises(ValueError):

@@ -581,6 +581,16 @@ class TestClassifyPerturbation:
         with pytest.raises(ValueError, match="listed twice in remove"):
             classify_perturbation(pg, add=gaps, remove=[(0, 1), (1, 0)])
 
+    def test_fractional_vertex_refused(self):
+        # a fractional endpoint used to be truncated: (0.5, 2) was read as (0, 2)
+        pg = er_graph(4)
+        assert pg.graph.has_edge(0, 1) and not pg.graph.has_edge(0, 2)
+        with pytest.raises(ValueError, match="vertex 0.5 is not an integer"):
+            classify_perturbation(pg, add=[(0.5, 2)], remove=[])
+        gaps = nonedges(pg, np.random.default_rng(1), 2)
+        with pytest.raises(ValueError, match="vertex 1.5 is not an integer"):
+            classify_perturbation(pg, add=gaps, remove=[(0, 1.5)])
+
     def test_errors(self):
         pg = er_graph(4)
         e = tuple(int(x) for x in pg.graph.edges()[0])
