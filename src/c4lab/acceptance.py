@@ -17,8 +17,8 @@ from .graph import (
     count_c4,
     count_c4_bruteforce,
     from_edges,
+    graph_stats,
     neighborhood_family,
-    up_p2_stats,
 )
 from .plane import (
     IncidenceStructure,
@@ -31,6 +31,7 @@ from .polarity import degree_q_independence, special_vertex_w
 from .supersat import (
     add_edge_experiment,
     er_graph,
+    halfway_bound_check,
     matching_experiment,
     random_supersat,
 )
@@ -166,7 +167,7 @@ def unconditional_supersaturation(full: bool = False) -> tuple[bool, str]:
             else:
                 pick = rng.choice(len(us), size=base_m + t, replace=False)
                 g2 = from_edges(n, np.column_stack([us[pick], vs[pick]]))
-            if 4 * count_c4(g2) < 2 * t * q - 5 * q - 2 * t:
+            if not halfway_bound_check(g2, q).passed():
                 kind = "perturbed" if i % 2 == 0 else "random"
                 return False, f"q={q} t={t} ({kind}): count below (tq-2.5q-t)/2"
             checked += 1
@@ -212,8 +213,8 @@ def counting_identities(full: bool = False) -> tuple[bool, str]:
         edges = pg.graph.edges()
         keep = rng.random(len(edges)) < 0.1 + 0.9 * rng.random()
         g = from_edges(pg.n, edges[keep])
-        st = up_p2_stats(g)
-        if st["p2"] + st["up"] != g.n * (g.n - 1) // 2:
+        st = graph_stats(g, pg.q)
+        if st.p2 + st.up != g.n * (g.n - 1) // 2:
             return False, f"pair identity failed on C4-free instance {i}"
     for i in range(500):
         n = int(rng.integers(4, 41))

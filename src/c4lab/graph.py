@@ -13,7 +13,8 @@ enumerates vertex quadruples on a dense boolean matrix.  Both count the
 number of distinct 4-cycle subgraphs.  ``count_c4`` and ``is_c4_free`` take
 only the middles w > u, so each 4-cycle is counted once, from its least vertex
 u and the vertex x opposite it (vertex-priority counting with the vertex id as
-the priority); the pair statistics keep the full codegrees.
+the priority); the pair counts scan the full codegrees of a neighbourhood
+family and read only how many pairs are covered.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from c4lab.plane import IncidenceStructure, _as_vertices, _codegree_blocks, _listing, _ranges
+from c4lab.plane import IncidenceStructure, _as_vertices, _codegree_blocks, _ranges
 from c4lab.plane import _read_rows, is_one_intersecting
 
 # Overflow certificate for the int64 pair codes, wedge counts and block sums
@@ -160,27 +161,20 @@ def _neighborhoods(g: Graph, vertices: np.ndarray) -> IncidenceStructure:
     return IncidenceStructure._from_csr(g.n, ptr, g.indices[_ranges(g.indptr[vertices], sizes)])
 
 
-def _pair_moments(g: Graph):
-    """Exact codegree statistics over unordered pairs u < v.
+def _pair_counts(g: Graph, a: np.ndarray) -> tuple[int, int]:
+    """(|P2 ∩ A|, |UP ∩ A|) for the sorted distinct vertices a of g.
 
-    Returns (sum of C(codegree, 2), number of pairs with codegree >= 1,
-    per-vertex count of partners v != u with codegree >= 1).
+    P2 ∩ A counts the 2-paths with both ends in A (middles unrestricted) and
+    UP ∩ A the pairs of A with no common neighbour; for A = V(g) they are
+    p2 = sum C(d(v), 2) and up.
     """
-    sum_choose2 = covered_pairs = 0
-    covered_with = np.zeros(g.n, dtype=np.int64)
-    for lo, hi, codes, c, wedges in _codegree_blocks(g.indptr, g.indices):
-        if codes is None:
-            # a dense block is the matrix of its rows' codegrees with the columns lo:n
-            covered = c.reshape(hi - lo, g.n - lo) != 0
-            covered_with[lo:hi] += np.count_nonzero(covered, axis=1)
-            covered_with[lo:] += np.count_nonzero(covered, axis=0)
-        else:
-            i, x, _ = _listing(lo, g.n, codes, c)
-            covered_with += np.bincount(i, minlength=g.n)
-            covered_with += np.bincount(x, minlength=g.n)
-        sum_choose2 += int(np.dot(c, c) - wedges) // 2
-        covered_pairs += np.count_nonzero(c)
-    return sum_choose2, covered_pairs, covered_with
+    fam = _neighborhoods(g, a)
+    ends = fam.point_degrees().astype(np.int64)
+    p2_a = int(np.sum(ends * (ends - 1) // 2))
+    # two members of A share a neighbour exactly when their lines meet
+    blocks = _codegree_blocks(fam.line_ptr, fam.line_idx)
+    covered = sum(int(np.count_nonzero(c)) for *_, c, _ in blocks)
+    return p2_a, len(a) * (len(a) - 1) // 2 - covered
 
 
 def codegree(g: Graph, u: int, v: int) -> int:
@@ -282,26 +276,6 @@ def c4_through_edge(g: Graph, u: int, v: int):
     return len(xs), [(u, v, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
 
 
-def up_p2_stats(g: Graph) -> dict:
-    """Path and uncovered-pair counts in one codegree pass.
-
-    p2 = number of 2-paths = sum of C(d(v), 2); up = number of vertex pairs
-    with no common neighbour, computed as C(n, 2) minus the covered pairs.
-    """
-    _check_counting_limits(g)
-    degs = g.degrees().astype(np.int64)
-    p2 = int(np.sum(degs * (degs - 1) // 2))
-    sum_choose2, covered_pairs, _ = _pair_moments(g)
-    n_pairs = g.n * (g.n - 1) // 2
-    return {
-        "p2": p2,
-        "up": n_pairs - covered_pairs,
-        "covered_pairs": covered_pairs,
-        "n_pairs": n_pairs,
-        "sum_codegree_choose2": sum_choose2,
-    }
-
-
 @dataclass
 class GraphStats:
     """Degree and pair statistics of a graph relative to a target order q."""
@@ -316,7 +290,6 @@ class GraphStats:
     f_total: int
     p2: int
     up: int
-    d0: np.ndarray  # per-vertex count of vertices sharing no common neighbour
 
 
 def graph_stats(g: Graph, q: int) -> GraphStats:
@@ -325,9 +298,7 @@ def graph_stats(g: Graph, q: int) -> GraphStats:
     hist_vals = np.bincount(degs) if g.n else np.zeros(0, dtype=np.int64)
     histogram = {int(d): int(c) for d, c in enumerate(hist_vals) if c}
     f_values = np.maximum(q + 1 - degs, 0)
-    _, covered_pairs, covered_with = _pair_moments(g)
-    n_pairs = g.n * (g.n - 1) // 2
-    d0 = (g.n - 1) - covered_with
+    p2, up = _pair_counts(g, np.arange(g.n))
     return GraphStats(
         n=g.n,
         m=g.m,
@@ -337,9 +308,8 @@ def graph_stats(g: Graph, q: int) -> GraphStats:
         s_below=np.flatnonzero(degs <= q),
         f_values=f_values,
         f_total=int(f_values.sum()),
-        p2=int(np.sum(degs * (degs - 1) // 2)),
-        up=n_pairs - covered_pairs,
-        d0=d0,
+        p2=p2,
+        up=up,
     )
 
 
@@ -353,13 +323,8 @@ def claim_c4_inequality(g: Graph, a_set) -> dict:
     a = np.unique(_as_vertices(list(a_set)))
     if len(a) and (a[0] < 0 or a[-1] >= g.n):
         raise ValueError("A contains a vertex outside the graph")
-    fam = _neighborhoods(g, a)
-    nbrs_in_a = fam.point_degrees().astype(np.int64)
-    p2_a = int(np.sum(nbrs_in_a * (nbrs_in_a - 1) // 2))
+    p2_a, up_a = _pair_counts(g, a)
     pairs_a = len(a) * (len(a) - 1) // 2
-    # two members of A share a neighbour exactly when their lines meet
-    blocks = _codegree_blocks(fam.line_ptr, fam.line_idx)
-    up_a = pairs_a - int(sum(np.count_nonzero(c) for *_, c, _ in blocks))
     lhs = 2 * count_c4(g)
     rhs = p2_a + up_a - pairs_a
     return {
@@ -391,8 +356,8 @@ def neighborhood_family(g: Graph, q: int, delta: float = 0.25) -> NeighborhoodFa
     Returns {N(x) : x in A} as an incidence structure together with its
     1-intersecting verdict.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, not {delta}")
     degs = g.degrees().astype(np.int64)
     s_idx = np.flatnonzero(degs <= q)
     many = _neighborhoods(g, s_idx).point_degrees() >= delta * q

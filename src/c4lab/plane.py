@@ -301,8 +301,13 @@ def _codegree_blocks(ptr, idx, least=False):
     """
     n = len(ptr) - 1
     back_ptr, back_idx, twin = _transpose(ptr, idx, 0)
-    # the wedges before each row
-    reach = np.concatenate([[0], np.cumsum((back_ptr[1:] - back_ptr[:-1])[idx])])[ptr]
+    # the wedges before each row, in one int64 array of nnz + 1 entries: take
+    # reads each column as an index before it writes that column's degree over
+    # it; every index is in range, and mode "raise" would copy ``out``
+    reach = np.zeros(len(idx) + 1, dtype=np.int64)
+    reach[1:] = idx
+    np.take(back_ptr[1:] - back_ptr[:-1], reach[1:], out=reach[1:], mode="clip")
+    reach = np.cumsum(reach, out=reach)[ptr]
     taken = closed_form = 0
     lo = 0
     while lo < n:

@@ -292,6 +292,8 @@ def random_supersat(
         raise ValueError("trials must be at least 1")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if not 0 <= fraction_floor <= 1:
+        raise ValueError(f"fraction_floor must be a finite number in [0, 1], not {fraction_floor}")
     pg = er_graph(q)
     alpha = 4 * t / cap
     n_pairs = pg.n * (pg.n - 1) // 2 - pg.graph.m

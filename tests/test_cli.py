@@ -110,6 +110,14 @@ class TestGraphCommands:
         assert code == 1
         assert not payload["one_intersecting"]
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+    def test_family_refuses_a_non_finite_or_negative_delta(self, capsys, er8_edges, delta):
+        code, out, err = run(
+            capsys, "graph", "family", "--in", er8_edges, "--q", "8", "--delta", delta
+        )
+        assert code == 2 and out == ""
+        assert "delta must be finite and positive" in err
+
 
     def test_negative_vertex_count_is_a_usage_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.edges"
@@ -195,6 +203,15 @@ class TestSupersatCommands:
             cli_dispatch(["supersat", "random", "--q", "8", "--t", "2", "--trials", "3"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-0.5", "1.5"])
+    def test_random_refuses_a_floor_outside_the_unit_interval(self, capsys, floor):
+        code, out, err = run(
+            capsys, "supersat", "random", "--q", "8", "--t", "2", "--trials", "3",
+            "--seed", "1", "--floor", floor,
+        )
+        assert code == 2 and out == ""
+        assert "fraction_floor must be a finite number in [0, 1]" in err
 
     def test_random_reproducible(self, capsys):
         argv = ["supersat", "random", "--q", "8", "--t", "3",

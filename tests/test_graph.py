@@ -39,7 +39,6 @@ from c4lab.graph import (
     is_c4_free,
     neighborhood_family,
     read_edge_list,
-    up_p2_stats,
     write_edge_list,
 )
 
@@ -102,8 +101,7 @@ def test_scans_do_not_depend_on_block_size(monkeypatch):
         return (
             count_c4(g),
             is_c4_free(g),
-            up_p2_stats(g),
-            stats.d0.tolist(),
+            (stats.p2, stats.up),
             claim_c4_inequality(g, range(0, 30, 2)),
             is_one_intersecting(family),
             is_one_intersecting(family.dual()),
@@ -111,8 +109,8 @@ def test_scans_do_not_depend_on_block_size(monkeypatch):
         )
 
     expected = scans()
-    assert expected[5][0] is False and expected[6][0] is False
-    assert expected[7] == (0, 1, 2)
+    assert expected[4][0] is False and expected[5][0] is False
+    assert expected[6] == (0, 1, 2)
     # blocks of one or two rows
     monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", 40)
     assert scans() == expected
@@ -175,7 +173,6 @@ def test_counts_and_passing_audits_list_no_pairs(monkeypatch):
     def refuse(*args):
         raise AssertionError("pair listing requested")
 
-    monkeypatch.setattr(c4lab.graph, "_listing", refuse)
     monkeypatch.setattr(c4lab.plane, "_listing", refuse)
     pg = er_graph(16)
     for ratio in (0, 10**9):
@@ -183,6 +180,9 @@ def test_counts_and_passing_audits_list_no_pairs(monkeypatch):
         assert count_c4(pg.graph) == 0 and is_c4_free(pg.graph)
         assert count_c4(perturbed_er_graph(16, 1)) > 0
         assert verify_projective_plane(pg.polarity.plane).ok
+        stats = graph_stats(pg.graph, 16)
+        assert (stats.p2, stats.up) == (36856, 272)
+        assert claim_c4_inequality(pg.graph, range(0, pg.n, 2))["holds"]
 
 
 def relabelled(g: Graph, perm: np.ndarray) -> Graph:
@@ -195,11 +195,9 @@ def invariants(g: Graph, q: int) -> tuple:
     return (
         count_c4(g),
         is_c4_free(g),
-        up_p2_stats(g),
         stats.degree_histogram,
         stats.p2,
         stats.up,
-        sorted(stats.d0.tolist()),
     )
 
 
@@ -217,27 +215,30 @@ def test_vertex_relabelling_keeps_counts_and_stats(monkeypatch, ratio):
             perm = rng.permutation(g.n)
             h = relabelled(g, perm)
             assert invariants(h, q) == expected
-            # d0 moves with its vertex, not only as a multiset
-            assert np.array_equal(graph_stats(h, q).d0[perm], graph_stats(g, q).d0)
 
 
 @pytest.mark.parametrize("block,ratio", [
     (c4lab.plane._BLOCK_SIZE, 0), (c4lab.plane._BLOCK_SIZE, 10**9), (40, 0), (40, 10**9),
 ])
 def test_least_vertex_count_is_half_the_full_scan(monkeypatch, block, ratio):
-    # count_c4 takes each cycle once from its least vertex, up_p2_stats sums
+    # count_c4 takes each cycle once from its least vertex; the full scan sums
     # C(codegree, 2) over all pairs, which meets each cycle at both diagonals
     monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", block)
     monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
+
+    def full_scan(g):
+        blocks = _codegree_blocks(g.indptr, g.indices)
+        return sum(int(np.sum(c * (c - 1) // 2)) for *_, c, _ in blocks)
+
     rng = np.random.default_rng(23)
     sizes = ((6, 0.7), (45, 0.3), (120, 0.12), (300, 0.04))
     for n, p in sizes:
         g = random_graph(n, p, 700 + n)
-        expected = up_p2_stats(g)["sum_codegree_choose2"]
+        expected = full_scan(g)
         assert expected > 0 and 2 * count_c4(g) == expected
         for _ in range(3):
             h = relabelled(g, rng.permutation(n))
-            assert 2 * count_c4(h) == up_p2_stats(h)["sum_codegree_choose2"] == expected
+            assert 2 * count_c4(h) == full_scan(h) == expected
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 32])
@@ -255,13 +256,12 @@ def test_sparse_graph_at_the_vertex_limit():
     g = from_edges(n, cycle + [(top[3], top[4]), (top[4], top[5])])
     assert count_c4(g) == 1
     assert not is_c4_free(g)
-    stats = up_p2_stats(g)
+    stats = graph_stats(g, 2)
     # degrees 2, 2, 2, 3, 2, 1
-    assert stats["p2"] == 1 + 1 + 1 + 3 + 1
+    assert stats.p2 == 1 + 1 + 1 + 3 + 1
     # covered pairs: the two diagonals (codegree 2), top[2]-top[4] and
     # top[0]-top[4] via top[3], top[3]-top[5] via top[4]
-    assert stats["covered_pairs"] == 5
-    assert stats["sum_codegree_choose2"] == 2
+    assert stats.up == n * (n - 1) // 2 - 5
     # so few wedges need one block, not a dense scan of n^2 entries
     blocks = _codegree_blocks(g.indptr, g.indices)
     assert len(list(blocks)) == 1
@@ -605,34 +605,34 @@ def dense_adj(g: Graph) -> np.ndarray:
     return a
 
 
+def dense_pair_counts(g: Graph) -> tuple[int, int]:
+    """(p2, up) from the dense codegree matrix: sum C(d, 2) and the uncovered pairs."""
+    degs = dense_adj(g).sum(axis=1)
+    cod = dense_codegrees(g)[np.triu_indices(g.n, k=1)]
+    return int(np.sum(degs * (degs - 1) // 2)), int(np.sum(cod == 0))
+
+
 class TestUpP2:
     def test_five_cycle(self):
         g = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-        st = up_p2_stats(g)
-        assert st["p2"] == 5
-        assert st["covered_pairs"] == 5
-        assert st["up"] == 5
-        assert st["n_pairs"] == 10
+        st = graph_stats(g, q=2)
+        assert st.p2 == 5
+        # five of the ten pairs are covered
+        assert st.up == 5
 
     def test_petersen(self):
-        st = up_p2_stats(petersen())
-        assert st["p2"] == 30
-        # C4-free: every covered pair has exactly one common neighbour
-        assert st["covered_pairs"] == 30
-        assert st["up"] == 15
+        st = graph_stats(petersen(), q=2)
+        assert st.p2 == 30
+        # C4-free: every covered pair has exactly one common neighbour, so 30
+        # of the 45 pairs are covered
+        assert st.up == 15
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_against_dense(self, seed):
         g = random_graph(18, 0.3, seed)
-        adj = dense_adj(g)
-        cod = (adj.astype(np.int64) @ adj.astype(np.int64))
-        iu = np.triu_indices(g.n, k=1)
-        covered = int(np.sum(cod[iu] > 0))
-        st = up_p2_stats(g)
-        assert st["covered_pairs"] == covered
-        assert st["up"] == g.n * (g.n - 1) // 2 - covered
-        c = cod[iu]
-        assert st["sum_codegree_choose2"] == int(np.sum(c * (c - 1) // 2))
+        st = graph_stats(g, q=3)
+        assert (st.p2, st.up) == dense_pair_counts(g)
+        assert st.up > 0
 
 
 class TestGraphStats:
@@ -647,27 +647,6 @@ class TestGraphStats:
         assert st.p2 == 6 + 1 + 1
         # only (0, 3) and (0, 4) lack a common neighbour
         assert st.up == 2
-
-    def test_star_plus_edge_d0(self):
-        g = from_edges(5, [(0, i) for i in range(1, 5)] + [(1, 2)])
-        adj = dense_adj(g)
-        cod = adj.astype(np.int64) @ adj.astype(np.int64)
-        st = graph_stats(g, q=2)
-        for v in range(5):
-            expect = sum(1 for u in range(5) if u != v and cod[u, v] == 0)
-            assert st.d0[v] == expect
-        iu = np.triu_indices(5, k=1)
-        assert st.up == int(np.sum(cod[iu] == 0))
-
-    @pytest.mark.parametrize("seed", [31, 32])
-    def test_d0_against_dense(self, seed):
-        g = random_graph(15, 0.35, seed)
-        adj = dense_adj(g)
-        cod = adj.astype(np.int64) @ adj.astype(np.int64)
-        st = graph_stats(g, q=3)
-        for v in range(g.n):
-            expect = sum(1 for u in range(g.n) if u != v and cod[u, v] == 0)
-            assert st.d0[v] == expect
 
 
 class TestClaimInequality:
@@ -698,11 +677,9 @@ class TestClaimInequality:
     ])
     def test_whole_vertex_set_matches_up_p2_stats(self, build):
         g = build()
-        st = up_p2_stats(g)
         out = claim_c4_inequality(g, range(g.n))
-        assert out["p2_a"] == st["p2"]
-        assert out["up_a"] == st["up"]
-        assert out["a_pairs"] == st["n_pairs"]
+        assert (out["p2_a"], out["up_a"]) == dense_pair_counts(g)
+        assert out["a_pairs"] == g.n * (g.n - 1) // 2
 
     def test_subset_with_isolated_vertices(self):
         # the 4-cycle 0-1-2-3, the edge 4-5, and isolated vertices 6 and 7
@@ -715,9 +692,8 @@ class TestClaimInequality:
         assert out["lhs"] == 2 and out["rhs"] == 1 and out["holds"]
         assert all(type(out[key]) is int for key in ("lhs", "rhs", "p2_a", "up_a", "a_pairs"))
         assert type(out["holds"]) is bool
-        st = up_p2_stats(g)
         whole = claim_c4_inequality(g, range(8))
-        assert (whole["p2_a"], whole["up_a"]) == (st["p2"], st["up"])
+        assert (whole["p2_a"], whole["up_a"]) == dense_pair_counts(g)
 
     @pytest.mark.parametrize("seed", [41, 42, 43, 44])
     def test_random_graphs_random_subsets(self, seed):
@@ -772,8 +748,9 @@ class TestNeighborhoodFamily:
         assert fam.witness is not None and fam.witness[2] == 0
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            neighborhood_family(petersen(), q=2, delta=0.0)
+        for delta in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="delta must be finite and positive"):
+                neighborhood_family(petersen(), q=2, delta=delta)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
     def test_family_matches_per_vertex_oracle(self, q):

@@ -362,6 +362,21 @@ def test_codegree_blocks_of_non_square_structures(monkeypatch, block, ratio):
         assert list(c) == codeg[i_ref, x_ref].tolist()
 
 
+@pytest.mark.parametrize("ratio", [0, 10**9])
+def test_codegree_blocks_of_a_csr_with_no_entries(monkeypatch, ratio):
+    monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
+    idx = np.zeros(0, dtype=np.int32)
+    for n in (0, 1, 4):
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        for least in (False, True):
+            blocks = list(_codegree_blocks(ptr, idx, least=least))
+            # the blocks cover every row and count nothing
+            assert [lo for lo, *_ in blocks] + [n] == [0] + [hi for _, hi, *_ in blocks]
+            assert all(w == 0 and not np.count_nonzero(c) for *_, c, w in blocks)
+        # rows without points meet no other row
+        assert _one_meet_audit(ptr, idx) == ((True, None) if n < 2 else (False, (0, 1, 0)))
+
+
 def test_incidence_roundtrip_is_byte_exact(tmp_path):
     plane = build_pg2(FIELDS[3])
     p1 = tmp_path / "pg3.inc"

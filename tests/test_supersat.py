@@ -457,6 +457,12 @@ class TestRandomSupersat:
         assert r.verdicts["min_qualifying_y_within_budget"]
         assert r.measured["nonadjacent_pairs"] == 16**3 * 17 // 2
 
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -0.01, 1.01])
+    def test_rejects_a_floor_outside_the_unit_interval(self, floor):
+        with pytest.raises(ValueError, match=r"fraction_floor must be a finite number in \[0, 1\]"):
+            random_supersat(4, 1, 2, seed=1, fraction_floor=floor)
+        assert random_supersat(4, 1, 2, seed=1, fraction_floor=1.0).bounds["tested_fraction_floor"] == 1.0
+
     def test_mean_x_tracks_binomial(self):
         r = random_supersat(64, 100, 5, seed=11, count_cycles=False)
         n_pairs = r.measured["nonadjacent_pairs"]
