@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from c4lab.plane import IncidenceStructure, _as_vertices, _codegree_blocks, _ranges
-from c4lab.plane import _read_rows, is_one_intersecting
+from c4lab.plane import _read_rows, _write_rows, is_one_intersecting
 
 # Overflow certificate for the int64 pair codes, wedge counts and block sums
 # behind the exact counts: a vertex u starts at most d^2 wedges, so
@@ -404,10 +404,8 @@ def convexity_bound(a_values, k: int, r: int) -> dict:
 
 def write_edge_list(g: Graph, path: str) -> None:
     """Canonical export: one `u v` line per edge, numerically sorted, u < v."""
-    e = g.edges()
     with open(path, "w", encoding="ascii") as fh:
-        for u, v in e.tolist():
-            fh.write(f"{u} {v}\n")
+        _write_rows(fh, np.arange(0, 2 * g.m + 1, 2), g.edges().ravel())
 
 
 def read_edge_list(path: str, n: int | None = None) -> Graph:

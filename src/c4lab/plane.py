@@ -234,8 +234,9 @@ def build_pg2(spec: FieldSpec) -> ProjectivePlane:
 # ---------------------------------------------------------------------------
 # wedge enumeration: the one primitive behind every exact pair scan
 
-# bound on the wedges of one block and on the entries of a dense block
-_BLOCK_SIZE = 1 << 19
+# bound on the wedges of one block and on the entries of a dense block; at 2^17
+# a block's temporaries peak at 2 MB traced at q = 64 and 128 (8 MB at 2^19)
+_BLOCK_SIZE = 1 << 17
 # a block is reduced by sorting its wedge codes, not by a dense bincount, when
 # it has fewer than 1/_SPARSE_RATIO as many wedges as dense entries
 _SPARSE_RATIO = 16
@@ -247,15 +248,12 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
 
-def _transpose(ptr, idx, n_cols):
-    """The transpose (back_ptr, back_idx) of a CSR with sorted rows, and ``twin``.
+def _twin(idx) -> np.ndarray:
+    """Where each entry k = (r, c) of a CSR with sorted rows sits in row c of its transpose.
 
-    The transpose has max(n_cols, max(idx) + 1) rows.  Entry k = (r, c)
-    sits at position twin[k] of row c of the transpose, so
-    back_idx[twin[k]] == r.  One sort of the distinct keys c*nnz + k gives
-    the stable order by column, which keeps the transposed rows sorted; a
-    second sort of order*nnz + position inverts it into ``twin``.  Keys stay
-    below max(n_cols, nnz)*nnz.
+    One sort of the distinct keys c*nnz + k gives the stable order by column,
+    which keeps the transposed rows sorted; a second sort of order*nnz +
+    position inverts it.  Keys stay below max(max(idx) + 1, nnz)*nnz.
     """
     nnz = len(idx)
     pos = np.arange(nnz)
@@ -266,9 +264,14 @@ def _transpose(ptr, idx, n_cols):
         twin += pos
         twin.sort()
         twin %= nnz
-    del pos
+    return twin
+
+
+def _transpose(ptr, idx, n_cols):
+    """The transpose (back_ptr, back_idx), max(n_cols, max(idx) + 1) rows, and _twin(idx)."""
+    twin = _twin(idx)
     back_ptr = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=n_cols))])
-    back_idx = np.empty(nnz, dtype=np.int32)
+    back_idx = np.empty(len(idx), dtype=np.int32)
     back_idx[twin] = np.repeat(np.arange(len(ptr) - 1, dtype=np.int32), ptr[1:] - ptr[:-1])
     return back_ptr, back_idx, twin
 
@@ -278,16 +281,17 @@ def _codegree_blocks(ptr, idx, least=False):
 
     The CSR has sorted rows: a simple graph or the lines of an incidence
     structure.  Rows s and x share as many columns as there are wedges
-    s -> w -> x, w in row s and x in row w of the transpose the kernel
-    derives.  Only the upper triangle x > s of this symmetric codegree matrix
-    is counted; those ends start one past the twin of the entry (s, w).
+    s -> w -> x, w in row s and x in row w of the transpose.  Only the upper
+    triangle x > s of this symmetric codegree matrix is counted; those ends
+    start one past the twin of the entry (s, w).
 
-    With ``least`` the CSR is a graph and only the middles w > s are taken:
-    c(s, x) counts the common neighbours above s, so the sum of C(c, 2) counts
-    each 4-cycle once, from its least vertex s and its vertex x opposite s.
-    A symmetric CSR gives sum_w r_w(d_w - 1) - C(r_w, 2) such wedges, r_w the
-    entries of row w below w; when the blocks run out, a mismatch raises
-    AssertionError.
+    With ``least`` the CSR is a graph, which is its own transpose: the kernel
+    reads ptr/idx as the transpose, derives only ``twin`` and takes only the
+    middles w > s.  Then c(s, x) counts the common neighbours above s, so the
+    sum of C(c, 2) counts each 4-cycle once, from its least vertex s and its
+    vertex x opposite s.  An AssertionError that python -O keeps refuses an
+    asymmetric CSR: a column with more or fewer entries than its row, or an
+    entry (s, w) whose twin is not (w, s), checked before its block is yielded.
 
     A block covers the columns lo:n, n = len(ptr) - 1, since x > s >= lo;
     the pair (s, x) has the block code (s - lo)*(n - lo) + x - lo.
@@ -300,7 +304,9 @@ def _codegree_blocks(ptr, idx, least=False):
     alike, and ``wedges`` is the sum of ``c``; ``_listing`` gives the pairs.
     """
     n = len(ptr) - 1
-    back_ptr, back_idx, twin = _transpose(ptr, idx, 0)
+    if least and not np.array_equal(np.bincount(idx, minlength=n), ptr[1:] - ptr[:-1]):
+        raise AssertionError("column counts differ from row degrees: the CSR is not symmetric")
+    back_ptr, back_idx, twin = (ptr, idx, _twin(idx)) if least else _transpose(ptr, idx, 0)
     # the wedges before each row, in one int64 array of nnz + 1 entries: take
     # reads each column as an index before it writes that column's degree over
     # it; every index is in range, and mode "raise" would copy ``out``
@@ -308,7 +314,6 @@ def _codegree_blocks(ptr, idx, least=False):
     reach[1:] = idx
     np.take(back_ptr[1:] - back_ptr[:-1], reach[1:], out=reach[1:], mode="clip")
     reach = np.cumsum(reach, out=reach)[ptr]
-    taken = closed_form = 0
     lo = 0
     while lo < n:
         # bound the block by all its wedges, upper or not
@@ -324,25 +329,19 @@ def _codegree_blocks(ptr, idx, least=False):
         n_end = back_ptr[mids + 1] - first
         rows = np.repeat(np.arange(hi - lo), n_mid)
         if least:
-            # no middle w <= s; r_w counts the entries of row w below w (a graph has no loops)
-            low = mids <= rows + lo
-            n_end[low] = 0
-            r = np.bincount(rows[low], minlength=hi - lo)
-            # r_w(d_w - 1) - C(r_w, 2) = r_w(2d_w - 1 - r_w)/2, an integer for each w
-            closed_form += int(np.dot(r, 2 * n_mid - 1 - r)) // 2
+            bad = np.flatnonzero(idx[first - 1] != rows + lo)
+            if len(bad):
+                s, w = lo + int(rows[bad[0]]), int(mids[bad[0]])
+                raise AssertionError(f"entry ({s}, {w}) has no mirror: the CSR is not symmetric")
+            n_end[mids <= rows + lo] = 0  # no middle w <= s (a graph has no loops)
         ends = back_idx[_ranges(first, n_end)]
         codes = np.repeat(rows * width - lo, n_end)
         codes += ends
-        taken += len(codes)
         if sparse:
             yield lo, hi, *np.unique(codes, return_counts=True), len(codes)
         else:
             yield lo, hi, None, np.bincount(codes, minlength=(hi - lo) * width), len(codes)
         lo = hi
-    if least and taken != closed_form:
-        raise AssertionError(
-            f"{taken} wedges enumerated, but the rows give {closed_form}: the CSR is not symmetric"
-        )
 
 
 def _listing(lo: int, n_cols: int, codes, c: np.ndarray):
@@ -581,6 +580,24 @@ def bruck_ryser_excluded(q: int) -> bool:
 # ---------------------------------------------------------------------------
 # serialization: plain text, one hyperedge per line
 
+# characters read and values written at a time: bounds the Python str tokens alive
+_READ_BLOCK = 1 << 16
+_WRITE_BLOCK = 1 << 12
+
+
+def _write_rows(fh, ptr, values) -> None:
+    """Write each row values[ptr[i]:ptr[i + 1]] as one line of space-separated integers.
+
+    Whole rows, about _WRITE_BLOCK values in all, are formatted at a time.
+    """
+    lo = 0
+    while lo < len(ptr) - 1:
+        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + _WRITE_BLOCK, side="right")) - 1)
+        tokens = list(map(str, values[ptr[lo] : ptr[hi]].tolist()))
+        cuts = (ptr[lo : hi + 1] - ptr[lo]).tolist()
+        fh.write("".join([" ".join(tokens[i:j]) + "\n" for i, j in zip(cuts, cuts[1:])]))
+        lo = hi
+
 
 def write_incidence(s: IncidenceStructure, path: str) -> None:
     """Write the `points N lines L` header plus one sorted index row per line."""
@@ -589,12 +606,7 @@ def write_incidence(s: IncidenceStructure, path: str) -> None:
         raise ValueError(f"line {empty[0]} is empty; an incidence file cannot hold it")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"points {s.n_points} lines {s.n_lines}\n")
-        for i in range(s.n_lines):
-            fh.write(" ".join(str(int(p)) for p in s.line(i)) + "\n")
-
-
-# characters read and converted at a time: bounds the Python str tokens alive
-_READ_BLOCK = 1 << 16
+        _write_rows(fh, s.line_ptr, s.line_idx)
 
 
 def _first_row(fh) -> tuple[str, list[str]]:

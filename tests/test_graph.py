@@ -136,9 +136,8 @@ def perturbed_er_graph(q: int, seed: int) -> Graph:
     return g.add_edges(pairs[: 3 * q])
 
 
-@pytest.mark.parametrize("block,ratio", [
-    (c4lab.plane._BLOCK_SIZE, 0), (c4lab.plane._BLOCK_SIZE, 10**9), (40, 0), (40, 10**9),
-])
+# 1 << 19 holds every input here in one block, and 40 splits it into many
+@pytest.mark.parametrize("block,ratio", [(1 << 19, 0), (1 << 19, 10**9), (40, 0), (40, 10**9)])
 def test_both_reductions_list_the_upper_codegrees(monkeypatch, block, ratio):
     monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", block)
     monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
@@ -217,9 +216,8 @@ def test_vertex_relabelling_keeps_counts_and_stats(monkeypatch, ratio):
             assert invariants(h, q) == expected
 
 
-@pytest.mark.parametrize("block,ratio", [
-    (c4lab.plane._BLOCK_SIZE, 0), (c4lab.plane._BLOCK_SIZE, 10**9), (40, 0), (40, 10**9),
-])
+# 1 << 19 holds every input here in one block, and 40 splits it into many
+@pytest.mark.parametrize("block,ratio", [(1 << 19, 0), (1 << 19, 10**9), (40, 0), (40, 10**9)])
 def test_least_vertex_count_is_half_the_full_scan(monkeypatch, block, ratio):
     # count_c4 takes each cycle once from its least vertex; the full scan sums
     # C(codegree, 2) over all pairs, which meets each cycle at both diagonals
@@ -499,16 +497,49 @@ class TestCountC4:
             count_c4(from_edges((1 << 17) + 1, []))
 
     def test_parity_invariant_survives_optimize(self):
-        # a hand-built asymmetric CSR: 0, 1 -> {2, 3} and rows 2, 3 empty, so
-        # the scan takes the wedges 0-2-1 and 0-3-1 where rows 2, 3 give none
-        result = run_python(
-            "-O",
-            "-c",
-            "import numpy as np; from c4lab.graph import Graph, count_c4; "
-            "count_c4(Graph(4, np.array([0, 2, 4, 4, 4]), np.array([2, 3, 2, 3])))",
-        )
-        assert result.returncode != 0
-        assert "AssertionError: 2 wedges enumerated, but the rows give 0" in result.stderr
+        # hand-built asymmetric CSRs: 0, 1 -> {2, 3} with rows 2, 3 empty, whose
+        # columns 2, 3 hold entries that their rows lack, and the directed
+        # 3-cycle 0 -> 1 -> 2 -> 0, whose column counts equal its row degrees
+        for ptr, idx, message in (
+            ([0, 2, 4, 4, 4], [2, 3, 2, 3], "column counts differ from row degrees"),
+            ([0, 1, 2, 3], [1, 2, 0], "entry (0, 1) has no mirror"),
+        ):
+            result = run_python(
+                "-O",
+                "-c",
+                "import numpy as np; from c4lab.graph import Graph, count_c4; "
+                f"count_c4(Graph({len(ptr) - 1}, np.array({ptr}), np.array({idx})))",
+            )
+            assert result.returncode != 0
+            assert f"AssertionError: {message}: the CSR is not symmetric" in result.stderr
+
+    @pytest.mark.parametrize("block", [c4lab.plane._BLOCK_SIZE, 40], ids=["default", "40"])
+    def test_asymmetric_csrs_are_refused(self, monkeypatch, block):
+        # differential against the dense check a == a.T: loop-free sorted CSRs,
+        # half of them symmetrised, and the directed 3-cycle
+        monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", block)
+        rng = np.random.default_rng(29)
+        mats = [np.roll(np.eye(3, dtype=bool), 1, axis=1)]
+        for _ in range(600):
+            n = int(rng.integers(3, 9))
+            a = rng.random((n, n)) < 0.4
+            np.fill_diagonal(a, False)
+            mats.append(a | a.T if rng.random() < 0.5 else a)
+        refused = 0
+        for a in mats:
+            g = Graph(len(a), np.concatenate([[0], np.cumsum(a.sum(axis=1))]),
+                      np.nonzero(a)[1].astype(np.int32))
+            if np.array_equal(a, a.T):
+                assert count_c4(g) == count_c4_bruteforce(g)
+                continue
+            refused += 1
+            with pytest.raises(AssertionError, match="the CSR is not symmetric"):
+                count_c4(g)
+            # is_c4_free may stop at a block over 1 before a later block's check
+            if block != 40:
+                with pytest.raises(AssertionError, match="the CSR is not symmetric"):
+                    is_c4_free(g)
+        assert refused > 250
 
     def test_fast_route_degree_limit(self):
         hub = (1 << 10) + 1
@@ -821,6 +852,23 @@ class TestEdgeListIO:
         write_edge_list(h, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert h.edges().tolist() == g.edges().tolist()
+
+    @pytest.mark.parametrize("block", [c4lab.plane._WRITE_BLOCK, 1, 7], ids=["default", "1", "7"])
+    def test_roundtrip_bytes_at_q64(self, monkeypatch, tmp_path, block):
+        # the writer formats about ``block`` values at a time, so block ends
+        # fall mid-file; the oracle writes one line at a time
+        monkeypatch.setattr(c4lab.plane, "_WRITE_BLOCK", block)
+        g = er_graph(64).graph
+        oracle, p1, p2 = (tmp_path / f"{name}.edges" for name in ("oracle", "g", "g2"))
+        with open(oracle, "w", encoding="ascii") as fh:
+            for u, v in g.edges().tolist():
+                fh.write(f"{u} {v}\n")
+        write_edge_list(g, str(p1))
+        assert p1.read_bytes() == oracle.read_bytes()
+        h = read_edge_list(str(p1))
+        assert np.array_equal(h.indptr, g.indptr) and np.array_equal(h.indices, g.indices)
+        write_edge_list(h, str(p2))
+        assert p2.read_bytes() == oracle.read_bytes()
 
     def test_numeric_order(self, tmp_path):
         g = from_edges(12, [(10, 2), (1, 11), (0, 3)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import c4lab.plane
-from c4lab.field import FieldSpec
+from c4lab.field import FieldSpec, spec_for_order
 from c4lab.plane import (
     IncidenceStructure,
     _as_vertices,
@@ -340,9 +340,8 @@ def test_transpose_matches_lexsort_oracle():
         assert np.all((back_ptr[s.line_idx] <= twin) & (twin < back_ptr[s.line_idx + 1]))
 
 
-@pytest.mark.parametrize("block,ratio", [
-    (c4lab.plane._BLOCK_SIZE, 0), (c4lab.plane._BLOCK_SIZE, 10**9), (40, 0), (40, 10**9),
-])
+# 1 << 19 holds every input here in one block, and 40 splits it into many
+@pytest.mark.parametrize("block,ratio", [(1 << 19, 0), (1 << 19, 10**9), (40, 0), (40, 10**9)])
 def test_codegree_blocks_of_non_square_structures(monkeypatch, block, ratio):
     monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", block)
     monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
@@ -386,6 +385,25 @@ def test_incidence_roundtrip_is_byte_exact(tmp_path):
     assert loaded == IncidenceStructure(plane.n_points, plane.lines())
     write_incidence(loaded, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("block", [c4lab.plane._WRITE_BLOCK, 1, 7], ids=["default", "1", "7"])
+def test_incidence_roundtrip_at_q64(monkeypatch, tmp_path, block):
+    # the writer formats about ``block`` points at a time, whole lines only, so
+    # block ends fall mid-file; the oracle writes one line at a time
+    monkeypatch.setattr(c4lab.plane, "_WRITE_BLOCK", block)
+    plane = build_pg2(spec_for_order(64))
+    oracle, p1, p2 = (tmp_path / f"{name}.inc" for name in ("oracle", "pg64", "again"))
+    with open(oracle, "w", encoding="ascii") as fh:
+        fh.write(f"points {plane.n_points} lines {plane.n_lines}\n")
+        for line in plane.lines():
+            fh.write(" ".join(str(p) for p in line.tolist()) + "\n")
+    write_incidence(plane, str(p1))
+    assert p1.read_bytes() == oracle.read_bytes()
+    loaded = read_incidence(str(p1))
+    assert loaded == plane
+    write_incidence(loaded, str(p2))
+    assert p2.read_bytes() == oracle.read_bytes()
 
 
 def test_incidence_parser_handles_comments(tmp_path):
