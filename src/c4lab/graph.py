@@ -404,8 +404,9 @@ def convexity_bound(a_values, k: int, r: int) -> dict:
 
 def write_edge_list(g: Graph, path: str) -> None:
     """Canonical export: one `u v` line per edge, numerically sorted, u < v."""
+    e = g.edges()
     with open(path, "w", encoding="ascii") as fh:
-        _write_rows(fh, np.arange(0, 2 * g.m + 1, 2), g.edges().ravel())
+        _write_rows(fh, np.arange(0, e.size + 1, 2), e.ravel())
 
 
 def read_edge_list(path: str, n: int | None = None) -> Graph:

@@ -251,9 +251,8 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _twin(idx) -> np.ndarray:
     """Where each entry k = (r, c) of a CSR with sorted rows sits in row c of its transpose.
 
-    One sort of the distinct keys c*nnz + k gives the stable order by column,
-    which keeps the transposed rows sorted; a second sort of order*nnz +
-    position inverts it.  Keys stay below max(max(idx) + 1, nnz)*nnz.
+    Sorting the keys c*nnz + k gives the stable order by column, so transposed rows stay
+    sorted; sorting order*nnz + position inverts it.  Keys stay below max(max(idx) + 1, nnz)*nnz.
     """
     nnz = len(idx)
     pos = np.arange(nnz)
