@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from c4lab.plane import IncidenceStructure, _as_vertices, _codegree_blocks, _ranges
-from c4lab.plane import _read_rows, _write_rows, is_one_intersecting
+from c4lab.plane import _Lines, _read_rows, _row_blocks, _write_rows, is_one_intersecting
 
 # Overflow certificate for the int64 pair codes, wedge counts and block sums
 # behind the exact counts: a vertex u starts at most d^2 wedges, so
@@ -207,10 +207,13 @@ def count_c4(g: Graph) -> int:
 
 
 def is_c4_free(g: Graph) -> bool:
-    """No pair s < x has two common neighbours above s; stops at the first block over."""
+    """No pair s < x has two common neighbours above s.
+
+    Every block is scanned, so that its symmetry check runs, before the answer.
+    """
     _check_counting_limits(g)
     blocks = _codegree_blocks(g.indptr, g.indices, least=True)
-    return all(c.max(initial=0) <= 1 for *_, c, _ in blocks)
+    return max((int(c.max(initial=0)) for *_, c, _ in blocks), default=0) <= 1
 
 
 @lru_cache(maxsize=None)
@@ -403,10 +406,18 @@ def convexity_bound(a_values, k: int, r: int) -> dict:
 
 
 def write_edge_list(g: Graph, path: str) -> None:
-    """Canonical export: one `u v` line per edge, numerically sorted, u < v."""
-    e = g.edges()
-    with open(path, "w", encoding="ascii") as fh:
-        _write_rows(fh, np.arange(0, e.size + 1, 2), e.ravel())
+    """Canonical export: one `u v` line per edge, numerically sorted, u < v.
+
+    The upper entries (u, v > u) are written straight from the CSR, whole rows
+    of about _WRITE_BLOCK entries at a time.
+    """
+    with open(path, "wb") as fh:
+        for lo, hi in _row_blocks(g.indptr):
+            v = g.indices[g.indptr[lo] : g.indptr[hi]]
+            u = np.repeat(np.arange(lo, hi), g.indptr[lo + 1 : hi + 1] - g.indptr[lo:hi])
+            upper = u < v
+            pairs = np.column_stack([u[upper], v[upper]])
+            _write_rows(fh, np.arange(0, pairs.size + 1, 2), pairs.ravel())
 
 
 def read_edge_list(path: str, n: int | None = None) -> Graph:
@@ -415,7 +426,7 @@ def read_edge_list(path: str, n: int | None = None) -> Graph:
     Vertex count defaults to max endpoint + 1; pass n for graphs with
     trailing isolated vertices.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        edges = _read_rows(fh, width=2, name="edge")[1].reshape(-1, 2)
+    with open(path, "rb") as fh:
+        edges = _read_rows(_Lines(fh), width=2, name="edge")[1].reshape(-1, 2)
     size = int(edges.max(initial=-1)) + 1 if n is None else n
     return from_edges(size, edges)

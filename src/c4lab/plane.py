@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,18 +43,25 @@ def _line_csr(n_points: int, sizes, points) -> tuple[np.ndarray, np.ndarray]:
     raw = np.asarray(points)
     with np.errstate(invalid="ignore"):  # _as_vertices below rejects what this truncates
         pts = raw.astype(np.int64, copy=False)
-    rows = np.repeat(np.arange(len(line_ptr) - 1), np.diff(line_ptr))
-    pts = pts[np.lexsort((pts, rows))]  # sorted within each line; rows stay in place
-    out = (pts < 0) | (pts >= n_points)
-    bad = out | np.append(False, (pts[1:] == pts[:-1]) & (rows[1:] == rows[:-1]))
-    i = int(rows[bad.argmax()]) if bad.any() else len(line_ptr) - 2
+    # only lines before the first with a point out of range are sorted
+    out = np.flatnonzero((pts < 0) | (pts >= n_points))
+    i = int(np.searchsorted(line_ptr, out[0], side="right")) - 1 if len(out) else len(sizes)
+    base = int(pts[: line_ptr[i]].max(initial=-1)) + 1
+    # keys row*base + point, sorted in place: rows stay in place, each one sorted
+    keys = np.repeat(np.arange(i, dtype=np.int64) * base, np.diff(line_ptr[: i + 1]))
+    keys += pts[: line_ptr[i]]
+    keys.sort()
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(dup):
+        i = int(keys[dup[0]]) // base
     # only a line with a non-integer point can be bad by truncation alone
-    _as_vertices(raw[: line_ptr[i + 1]])
-    if bad.any() and out[line_ptr[i] : line_ptr[i + 1]].any():
-        raise ValueError(f"line {i} has a point index out of range")
-    if bad.any():
+    _as_vertices(raw[: line_ptr[min(i + 1, len(sizes))]])
+    if len(dup):
         raise ValueError(f"line {i} contains a duplicate point")
-    return line_ptr, pts.astype(np.int32)
+    if len(out):
+        raise ValueError(f"line {i} has a point index out of range")
+    keys -= np.repeat(np.arange(i, dtype=np.int64) * base, np.diff(line_ptr))
+    return line_ptr, keys.astype(np.int32)
 
 
 class IncidenceStructure:
@@ -579,23 +587,69 @@ def bruck_ryser_excluded(q: int) -> bool:
 # ---------------------------------------------------------------------------
 # serialization: plain text, one hyperedge per line
 
-# characters read and values written at a time: bounds the Python str tokens alive
+# bytes read and values written at a time; a read block holds whole lines
 _READ_BLOCK = 1 << 16
 _WRITE_BLOCK = 1 << 12
+# the bytes that text mode's decoder checks at a time (io.TextIOWrapper's
+# chunk): a non-ASCII byte is reported as soon as the reader touches its chunk
+_ASCII_CHUNK = 1 << 13
 
 
-def _write_rows(fh, ptr, values) -> None:
-    """Write each row values[ptr[i]:ptr[i + 1]] as one line of space-separated integers.
-
-    Whole rows, about _WRITE_BLOCK values in all, are formatted at a time.
-    """
+def _row_blocks(ptr):
+    """(lo, hi) covering the rows of a CSR in turn, whole rows of about _WRITE_BLOCK entries."""
     lo = 0
     while lo < len(ptr) - 1:
         hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + _WRITE_BLOCK, side="right")) - 1)
-        tokens = list(map(str, values[ptr[lo] : ptr[hi]].tolist()))
-        cuts = (ptr[lo : hi + 1] - ptr[lo]).tolist()
-        fh.write("".join([" ".join(tokens[i:j]) + "\n" for i, j in zip(cuts, cuts[1:])]))
+        yield lo, hi
         lo = hi
+
+
+@lru_cache(maxsize=None)
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """For k = 0..9999, k's four ASCII digits as one uint32 word, and the same
+    word with k's leading zeros as 0 bytes (k = 0 keeps its last `0`)."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    chars = np.empty((10**4, 4), dtype=np.uint8)
+    for col in range(4):
+        chars[:, col] = np.tile(np.repeat(digits, 10 ** (3 - col)), 10**col)
+    full = chars.view(np.uint32).ravel().copy()
+    for col in range(3):
+        chars[: 10 ** (3 - col), col] = 0  # the leading zeros of k < 10**(3 - col)
+    lead = chars.view(np.uint32).ravel()
+    full.flags.writeable = lead.flags.writeable = False  # shared by every caller
+    return full, lead
+
+
+def _write_rows(fh, ptr, values) -> None:
+    """Write each row values[ptr[i]:ptr[i + 1]], none empty, as a line of space-separated integers.
+
+    A block of rows is formatted as a byte matrix with one row per value: its
+    digits, four at a time from a table of 0..9999, right-aligned after 0 bytes
+    and followed by its separator.  The 0 bytes are then dropped.  fh is a
+    binary file.
+    """
+    full, lead = _digit_words()
+    for lo, hi in _row_blocks(ptr):
+        vals = np.asarray(values[ptr[lo] : ptr[hi]])
+        neg = vals < 0
+        mag = vals.astype(np.uint64)  # -2**63 too: negation is modulo 2**64
+        np.negative(mag, out=mag, where=neg)
+        groups = -(-len(str(int(mag.max()))) // 4)
+        # a word for the sign, one per group of four digits, one for the separator
+        words = np.zeros((len(vals), groups + 2), dtype=np.uint32)
+        for col in range(groups, 0, -1):
+            group = mag % 10**4
+            mag //= 10**4
+            words[:, col] = np.where(mag > 0, full[group], lead[group])
+            if col < groups:  # a group above the value's digits stays 0
+                words[(mag == 0) & (group == 0), col] = 0
+        cells = words.view(np.uint8)
+        rows = np.flatnonzero(neg)
+        cells[rows, (cells[rows] != 0).argmax(axis=1) - 1] = ord("-")
+        cells[:, -4] = ord(" ")
+        cells[ptr[lo + 1 : hi + 1] - ptr[lo] - 1, -4] = ord("\n")
+        cells = cells.ravel()
+        fh.write(cells[cells != 0])
 
 
 def write_incidence(s: IncidenceStructure, path: str) -> None:
@@ -603,54 +657,143 @@ def write_incidence(s: IncidenceStructure, path: str) -> None:
     empty = np.flatnonzero(s.line_sizes() == 0)
     if len(empty):  # it would be written as a blank line, which reads as no line
         raise ValueError(f"line {empty[0]} is empty; an incidence file cannot hold it")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"points {s.n_points} lines {s.n_lines}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"points {s.n_points} lines {s.n_lines}\n".encode())
         _write_rows(fh, s.line_ptr, s.line_idx)
 
 
-def _first_row(fh) -> tuple[str, list[str]]:
-    """The next line of fh that holds tokens before any `#`, and its tokens."""
-    while raw := fh.readline():
-        if tokens := raw.split("#", 1)[0].split():
-            return raw, tokens
+class _Lines:
+    """A binary text file read in whole lines, which `\\n`, `\\r\\n` or a lone `\\r` end.
+
+    Each chunk of _ASCII_CHUNK bytes is checked as it is read, so a non-ASCII
+    byte raises the same UnicodeDecodeError as text mode's ascii decoder, at
+    the same point of the read.
+    """
+
+    def __init__(self, fh):
+        self.fh, self.buf = fh, bytearray()
+
+    def take(self, size: int) -> bytearray:
+        """The lines up to the first line end at byte size - 1 or later; empty at the end of file."""
+        start = size - 1
+        while (cut := self._cut(start)) is None:
+            start = max(start, len(self.buf) - 1)  # all but a last `\r` is searched
+            chunk = self.fh.read(_ASCII_CHUNK - self.fh.tell() % _ASCII_CHUNK)
+            if not chunk:
+                cut = len(self.buf)
+                break
+            if not chunk.isascii():
+                chunk.decode("ascii")  # raises, with the byte's place in the chunk
+            self.buf += chunk
+        block = self.buf[:cut]
+        del self.buf[:cut]
+        return block
+
+    def _cut(self, start: int) -> int | None:
+        buf = self.buf
+        nl = buf.find(b"\n", start)
+        cr = buf.find(b"\r", start, len(buf) if nl < 0 else nl)
+        if 0 <= cr < len(buf) - 1:  # the next byte tells a lone `\r` from `\r\n`
+            return cr + 1 + (buf[cr + 1] == ord("\n"))
+        return nl + 1 if cr < 0 <= nl else None
+
+
+def _first_row(lines: _Lines) -> tuple[str, list[str]]:
+    """The next line that holds tokens before any `#`, and its tokens."""
+    while raw := lines.take(1):
+        text = raw.decode("ascii")
+        if tokens := text.split("#", 1)[0].split():
+            return text, tokens
     return "", []
 
 
-def _read_rows(fh, width: int | None = None, name: str = "row"):
+@lru_cache(maxsize=None)
+def _byte_kinds() -> bytes:
+    """A bytes.translate table: 0 blank (str.split's ASCII whitespace but line
+    ends), 1 line end, 2 `#`, 3 digit, 4 `-`, 5 any other byte."""
+    kinds = bytearray([5]) * 256
+    kinds[ord("0") : ord("9") + 1] = b"\3" * 10
+    for b, kind in ((b"\t\x0b\x0c\x1c\x1d\x1e\x1f ", 0), (b"\n\r", 1), (b"#", 2), (b"-", 4)):
+        for c in b:
+            kinds[c] = kind
+    return bytes(kinds)
+
+
+def _parse_ints(block, kind, starts, stops) -> np.ndarray:
+    """The tokens block[starts[k]:stops[k]] as int64, as int() reads them; kind is _byte_kinds of block.
+
+    `-?[0-9]{1,18}` is converted exactly by gathering one digit column at a
+    time; any other token goes through int(), in order, so the first bad one
+    raises int()'s error, or OverflowError outside int64.
+    """
+    digit = np.frombuffer(block, dtype=np.uint8) - np.uint8(ord("0"))
+    neg = kind[starts] == 4
+    first = starts + neg
+    digits = stops - first
+    simple = (digits >= 1) & (digits <= 18)
+    odd = np.flatnonzero(kind >= 4)  # a `-` or another byte that is not a digit
+    if len(odd):
+        simple &= np.searchsorted(odd, stops) == np.searchsorted(odd, first)
+    digits *= simple
+    values = np.zeros(len(starts), dtype=np.int64)
+    at = stops - 1
+    for j in range(int(digits.max(initial=0))):
+        column = digit[at]
+        column *= digits > j
+        values += column * np.int64(10**j)
+        at -= at > 0
+    np.negative(values, out=values, where=neg)
+    for k in np.flatnonzero(~simple).tolist():
+        values[k] = int(block[starts[k] : stops[k]].decode("ascii"))
+    return values
+
+
+def _read_rows(lines: _Lines, width: int | None = None, name: str = "row"):
     """The rest of a text file of integer rows as (sizes, values), for every file format.
 
-    `#` starts a comment and lines without tokens are skipped.  ``sizes`` holds
-    each other line's token count and ``values`` their tokens as int64, which
-    int() converts one block of lines at a time, so a bad token raises its
-    "invalid literal" error.  With ``width``, a line of another token count
-    raises "bad <name> line".  The earlier of two errors is reported.
+    `#` starts a comment and lines without tokens are skipped.  A token is a run
+    of bytes other than str.split's whitespace.  Blocks of whole lines are
+    tokenised on their bytes: ``sizes`` holds each other line's token count and
+    ``values`` their tokens as int64, read as int() reads them, so a bad token
+    raises its "invalid literal" error.  With ``width``, a line of another token
+    count raises "bad <name> line".  The earlier of two errors is reported.
     """
     sizes, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    while raws := fh.readlines(_READ_BLOCK):
-        lines, text = raws, "".join(raws)
-        if "#" in text:
-            lines = [raw.split("#", 1)[0] for raw in raws]
-            text = " ".join(lines)
-        counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    while block := lines.take(_READ_BLOCK):
+        kind = np.frombuffer(block.translate(_byte_kinds()), dtype=np.uint8)
+        ends = np.flatnonzero(kind == 1)
+        token = kind >= 3
+        if b"#" in block:  # blank from each `#` to its line's end
+            at = np.arange(len(kind))
+            hashes = np.maximum.accumulate(np.where(kind == 2, at, -1))
+            token &= hashes <= np.maximum.accumulate(np.where(kind == 1, at, -1))
+        bounds = np.flatnonzero(np.diff(token, prepend=False, append=False))
+        starts, stops = bounds[::2], bounds[1::2]
+        line = np.cumsum(kind == 1)[starts]
+        counts = np.bincount(line, minlength=len(ends) + 1)
         bad = np.flatnonzero((counts != 0) & (counts != width)) if width else ()
         if len(bad):
-            np.array(" ".join(lines[: bad[0]]).split(), dtype=np.int64)  # earlier bad tokens
-            raise ValueError(f"bad {name} line: {raws[bad[0]].rstrip()}")
+            b = int(bad[0])
+            k = int(np.searchsorted(line, b))
+            _parse_ints(block, kind, starts[:k], stops[:k])  # earlier bad tokens
+            raw = block[ends[b - 1] + 1 if b else 0 : ends[b] if b < len(ends) else len(block)]
+            raise ValueError(f"bad {name} line: {raw.decode('ascii').rstrip()}")
         sizes.append(counts[counts != 0])
-        values.append(np.array(text.split(), dtype=np.int64))
+        values.append(_parse_ints(block, kind, starts, stops))
     return np.concatenate(sizes), np.concatenate(values)
 
 
 def read_incidence(path: str) -> IncidenceStructure:
     """Parse the incidence format; `#` starts a comment, blank lines ignored."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw, header = _first_row(fh)
+    with open(path, "rb") as fh:
+        lines = _Lines(fh)
+        raw, header = _first_row(lines)
         if not header:
             raise ValueError("missing incidence header")
         if len(header) != 4 or header[0] != "points" or header[2] != "lines":
             raise ValueError(f"bad incidence header: {raw.rstrip()}")
         n, expected = int(header[1]), int(header[3])
-        sizes, points = _read_rows(fh)
+        sizes, points = _read_rows(lines)
     if len(sizes) != expected:
         raise ValueError(f"expected {expected} lines, found {len(sizes)}")
     return IncidenceStructure._from_csr(n, *_line_csr(n, sizes, points))

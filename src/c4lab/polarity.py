@@ -17,7 +17,8 @@ import numpy as np
 
 from c4lab.field import FieldSpec, spec_for_order
 from c4lab.graph import Graph, _neighborhoods, count_c4
-from c4lab.plane import ProjectivePlane, _as_vertices, _first_row, _ranges, _read_rows, _transpose
+from c4lab.plane import ProjectivePlane, _Lines, _as_vertices, _first_row, _ranges, _read_rows
+from c4lab.plane import _transpose, _write_rows
 from c4lab.plane import build_pg2
 
 
@@ -232,20 +233,20 @@ def degree_q_independence(g, q: int | None = None) -> tuple[bool, tuple | None]:
 
 def write_polarity(pi: Polarity, path: str) -> None:
     """Header `q <val>`, then one sigma index per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"q {pi.q}\n")
-        for s in pi.sigma.tolist():
-            fh.write(f"{s}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"q {pi.q}\n".encode())
+        _write_rows(fh, np.arange(len(pi.sigma) + 1), pi.sigma)
 
 
 def read_polarity(path: str) -> Polarity:
     """Parse the `q` header and sigma; the plane is rebuilt from its order."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = _first_row(fh)[1]
+    with open(path, "rb") as fh:
+        lines = _Lines(fh)
+        header = _first_row(lines)[1]
         if len(header) != 2 or header[0] != "q":
             raise ValueError("missing `q <val>` header")
         q = int(header[1])
-        sigma = _read_rows(fh, width=1, name="sigma")[1]
+        sigma = _read_rows(lines, width=1, name="sigma")[1]
     if len(sigma) != q * q + q + 1:  # before a bad file costs a whole plane
         raise ValueError(f"sigma must have length {q * q + q + 1}")
     plane = build_pg2(spec_for_order(q))

@@ -535,11 +535,36 @@ class TestCountC4:
             refused += 1
             with pytest.raises(AssertionError, match="the CSR is not symmetric"):
                 count_c4(g)
-            # is_c4_free may stop at a block over 1 before a later block's check
-            if block != 40:
-                with pytest.raises(AssertionError, match="the CSR is not symmetric"):
-                    is_c4_free(g)
+            with pytest.raises(AssertionError, match="the CSR is not symmetric"):
+                is_c4_free(g)
         assert refused > 250
+
+    def test_is_c4_free_checks_every_block_before_it_answers(self):
+        # K4 on 0..3, whose first block already has a codegree of 2, then the
+        # directed 3-cycle 4 -> 5 -> 6 -> 4, whose column counts equal its row
+        # degrees; one wedge per block puts the cycle in later blocks
+        graph = (
+            "Graph(7, np.array([0, 3, 6, 9, 12, 13, 14, 15]), "
+            "np.array([1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2, 5, 6, 4]))"
+        )
+        for flags in ([], ["-O"]):
+            result = run_python(
+                *flags,
+                "-c",
+                "import numpy as np; import c4lab.plane; "
+                "from c4lab.graph import Graph, count_c4, is_c4_free; "
+                f"c4lab.plane._BLOCK_SIZE = 1; g = {graph}\n"
+                "for check in (count_c4, is_c4_free):\n"
+                "    try:\n"
+                "        check(g)\n"
+                "    except AssertionError as err:\n"
+                "        print(check.__name__, err)",
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines() == [
+                f"{name} entry (4, 5) has no mirror: the CSR is not symmetric"
+                for name in ("count_c4", "is_c4_free")
+            ]
 
     def test_fast_route_degree_limit(self):
         hub = (1 << 10) + 1
