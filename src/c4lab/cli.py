@@ -72,7 +72,7 @@ def _read(reader, path, **kwargs):
     """Parse an input file; malformed content is an I/O error (exit 3)."""
     try:
         return reader(path, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise _ContentError(str(exc)) from exc
 
 

@@ -120,13 +120,12 @@ def _edge_codes(n: int, edges) -> np.ndarray:
     loops = arr[:, 0] == arr[:, 1]
     if loops.any():
         raise ValueError(f"loop at vertex {int(arr[loops.argmax(), 0])} rejected")
-    return _pair_codes(n, arr)
+    return _pair_codes(n, arr[:, 0], arr[:, 1])
 
 
-def _pair_codes(n: int, pairs: np.ndarray) -> np.ndarray:
-    """The int64 edge code of each row (u, v) of an integer array, unchecked."""
-    low = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64, copy=False)
-    return low * n + np.maximum(pairs[:, 0], pairs[:, 1])
+def _pair_codes(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The int64 edge code of each pair (a[i], b[i]) of two integer arrays, unchecked."""
+    return np.minimum(a, b).astype(np.int64, copy=False) * n + np.maximum(a, b)
 
 
 def _edge_keys(n: int, codes: np.ndarray) -> np.ndarray:
@@ -253,15 +252,23 @@ def count_c4_bruteforce(g: Graph) -> int:
 def _c4_through_edge(g: Graph, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (x, y): the paths v-x-y-u of g, one per entry.
 
-    They are the 4-cycles u-v-x-y-u that uv closes, in g + uv if uv is not an edge.
+    They are the 4-cycles u-v-x-y-u that uv closes, in g + uv if uv is not an edge,
+    listed with x ascending over N(v) - u and y ascending within N(x).  The rows
+    N(x) are gathered by one position array; y is tested for membership in
+    N(u) - v by reading a boolean mark over the vertices, set from N(u) with v
+    cleared.  So a query costs O(d(v) + sum of d(x)) = O(d^2) vector work and
+    O(n) to zero the mark, in a fixed number of numpy calls.
     """
     xs = g.neighbors(v)
     xs = xs[xs != u]
-    n_end = g.indptr[xs + 1] - g.indptr[xs]
-    ys = g.indices[_ranges(g.indptr[xs], n_end)]
-    xs = np.repeat(xs, n_end)
-    keep = (ys != v) & np.isin(ys, g.neighbors(u))
-    return xs[keep], ys[keep]
+    starts = g.indptr.take(xs)
+    n_end = g.indptr.take(xs + 1) - starts
+    ys = g.indices.take(_ranges(starts, n_end))
+    mark = np.zeros(g.n, dtype=bool)
+    mark[g.neighbors(u)] = True
+    mark[v] = False
+    keep = mark.take(ys)
+    return np.repeat(xs, n_end)[keep], ys[keep]
 
 
 def c4_through_edge(g: Graph, u: int, v: int):

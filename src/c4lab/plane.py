@@ -36,6 +36,8 @@ def _line_csr(n_points: int, sizes, points) -> tuple[np.ndarray, np.ndarray]:
 
     Each line comes out sorted.  The first line with a point that is not an
     integer, lies outside [0, n_points) or repeats is rejected, in that order.
+    A point of 2**31 or more, which the int32 ``line_idx`` cannot hold, is out
+    of range whatever n_points is.
     """
     if n_points < 0:
         raise ValueError("n_points must be nonnegative")
@@ -44,7 +46,7 @@ def _line_csr(n_points: int, sizes, points) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):  # _as_vertices below rejects what this truncates
         pts = raw.astype(np.int64, copy=False)
     # only lines before the first with a point out of range are sorted
-    out = np.flatnonzero((pts < 0) | (pts >= n_points))
+    out = np.flatnonzero((pts < 0) | (pts >= min(n_points, 2**31)))
     i = int(np.searchsorted(line_ptr, out[0], side="right")) - 1 if len(out) else len(sizes)
     base = int(pts[: line_ptr[i]].max(initial=-1)) + 1
     # keys row*base + point, sorted in place: rows stay in place, each one sorted
@@ -252,8 +254,12 @@ _SPARSE_RATIO = 16
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The concatenation of arange(s, s + k) over the pairs (s, k)."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+    # position j of pair i reads s_i + j - (ends_i - k_i), with ends the running sums of k
+    ends = np.cumsum(lengths)
+    out = np.arange(ends[-1] if len(ends) else 0)
+    ends -= lengths + starts
+    out -= np.repeat(ends, lengths)
+    return out
 
 
 def _twin(idx) -> np.ndarray:

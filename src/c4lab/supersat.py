@@ -9,6 +9,7 @@ re-run from its parameters and seed.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
@@ -27,7 +28,7 @@ from c4lab.polarity import (
 )
 
 RECOUNT_MAX_Q = 64  # above this the global recount is skipped (route is exact)
-_DRAW_BLOCK = 1 << 19  # uniform draws per Generator.random call: 4 MB of doubles
+_DRAW_BLOCK = 1 << 19  # raw draws per random_raw call: 4 MB of words
 _GATHER_BLOCK = 1 << 20  # wedges per cycle gather: a few int64 arrays of 8 MB
 
 
@@ -130,8 +131,7 @@ def _cycle_edge_codes(g: Graph, edges: np.ndarray) -> np.ndarray:
         owner * n + y, at_u * n + g.indices[_ranges(g.indptr[u], deg[u])]
     )
     owner, x, y = owner[closes], x[at_x[closes]], y[closes]
-    pairs = np.column_stack([v[owner], x, x, y, y, u[owner]])
-    return _pair_codes(n, pairs.reshape(-1, 2)).reshape(-1, 3)
+    return _pair_codes(n, np.column_stack([v[owner], x, y]), np.column_stack([x, y, u[owner]]))
 
 
 def _cycle_partition(g: Graph, added) -> tuple[int, int]:
@@ -171,8 +171,11 @@ def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
         raise ValueError(f"loop at vertex {int(u)} rejected")
     # the cycles that uv closes are the paths v-x-y-u, which already lie in g
     x, y = _c4_through_edge(g, u, v)
-    pairs = np.column_stack([np.full_like(x, v), x, x, y, y, np.full_like(y, u)])
-    non_uv = _pair_codes(g.n, pairs.reshape(-1, 2))
+    # their edges vx, xy and yu are of three kinds that never meet (x is not u, y is
+    # not v, and g has no loops), so the cycles share only uv when the x, the y and
+    # the xy codes are each distinct; x ascends, and the xy codes + n lie above every y
+    keys = np.concatenate([y, _pair_codes(g.n, x, y) + g.n])
+    keys.sort()
     count = len(x)
     deg_u, deg_v = int(g.indptr[u + 1] - g.indptr[u]), int(g.indptr[v + 1] - g.indptr[v])
     total = pg.c4_count + count  # every listed cycle passes through uv once
@@ -180,7 +183,9 @@ def add_edge_experiment(pg: PolarityGraph, u: int, v: int) -> ExperimentReport:
         "count_in_range": count in (q - 1, q, q + 1),
         "q_minus_1_iff_both_degree_q": (count == q - 1)
         == (deg_u == q and deg_v == q),
-        "cycles_pairwise_share_only_uv": len(np.unique(non_uv)) == non_uv.size,
+        "cycles_pairwise_share_only_uv": not (
+            (x[1:] == x[:-1]).any() or (keys[1:] == keys[:-1]).any()
+        ),
         "all_cycles_counted_through_uv": total == count,
     }
     return ExperimentReport(
@@ -243,9 +248,13 @@ def _bernoulli_additions(
 ) -> list[tuple[int, int]]:
     """One draw per non-adjacent pair in lexicographic order; hits are added.
 
-    The draws are taken _DRAW_BLOCK at a time: a Philox generator yields the
-    same stream however its ``random`` calls split it, so the block edges
-    need not fall between rows.
+    A draw is a hit when ``rng.random() < alpha``.  Philox's double is
+    (raw >> 11) * 2**-53 for its next raw 64-bit word, so the words are read
+    instead and a hit is raw >> 11 < T = ceil(alpha * 2**53), in exact
+    integers.  T is capped at 2**53, which every raw >> 11 is below, so
+    alpha >= 1 hits every time.  The words are taken _DRAW_BLOCK at a time:
+    the generator yields the same stream however the calls split it, so the
+    block edges need not fall between rows.
     """
     g = pg.graph
     n = g.n
@@ -253,10 +262,12 @@ def _bernoulli_additions(
     # the candidates of row u are the vertices h > u that are not its neighbours
     n_cand = np.arange(n - 1, -1, -1) - np.bincount(rows[g.indices > rows], minlength=n)
     start = np.concatenate([[0], np.cumsum(n_cand)])
+    threshold = min(math.ceil(alpha * 2**53), 2**53)
     added = []
     for lo in range(0, int(start[-1]), _DRAW_BLOCK):
-        draws = rng.random(min(_DRAW_BLOCK, int(start[-1]) - lo))
-        for k in (lo + np.flatnonzero(draws < alpha)).tolist():
+        draws = rng.bit_generator.random_raw(min(_DRAW_BLOCK, int(start[-1]) - lo))
+        draws >>= 11
+        for k in (lo + np.flatnonzero(draws < threshold)).tolist():
             u = int(np.searchsorted(start, k, side="right")) - 1
             r = k - int(start[u])
             # nb[i] - u - 1 - i candidates lie between u and nb[i], so the r-th

@@ -57,6 +57,21 @@ class TestPlaneCommands:
         code, _, err = run(capsys, "plane", "verify", "--in", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("graph count-c4", "0 99999999999999999999\n"),
+            ("plane verify", "points 7 lines 1\n0 99999999999999999999 1\n"),
+            ("polarity verify", "q 2\n99999999999999999999\n"),
+        ],
+    )
+    def test_token_outside_int64_is_io_error(self, capsys, tmp_path, command, text):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, *command.split(), "--in", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("i/o error: ")
+
 
 class TestPolarityCommands:
     def test_build_verify_graph(self, capsys, tmp_path):

@@ -630,23 +630,54 @@ class TestC4ThroughEdge:
             with pytest.raises(ValueError, match="endpoint out of range"):
                 c4_through_edge(g, u, v)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force_enumeration(self, seed):
+        # every ordered pair: edges through the public lister, non-edges (the
+        # cycles that adding uv closes) through the private one
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 17))
         g = random_graph(n, float(rng.uniform(0.2, 0.8)), 100 + seed)
-        adj = np.zeros((n, n), dtype=bool)
-        e = g.edges()
-        adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = True
-        for a, b in e.tolist():
+        # isolate up to two vertices, and the last vertex n - 1 in odd seeds
+        lone = set(rng.choice(n - 1, int(rng.integers(0, 3)), replace=False).tolist())
+        lone |= {n - 1} if seed % 2 else set()
+        g = from_edges(n, [e for e in g.edges().tolist() if lone.isdisjoint(e)])
+        assert (g.degrees()[n - 1] == 0) == bool(seed % 2)
+        adj = dense_adj(g)
+        for u, v in itertools.permutations(range(n), 2):
+            expected = [
+                (x, y)
+                for x in range(n)
+                for y in range(n)
+                if len({u, v, x, y}) == 4 and adj[v, x] and adj[x, y] and adj[y, u]
+            ]
+            x, y = _c4_through_edge(g, u, v)
+            assert list(zip(x.tolist(), y.tolist())) == expected
+            if adj[u, v]:
+                cycles = [(u, v, x, y) for x, y in expected]
+                assert c4_through_edge(g, u, v) == (len(expected), cycles)
+
+    def test_matches_dense_rows_on_er16(self):
+        g = er_graph(16).graph
+        adj = dense_adj(g)
+        rng = np.random.default_rng(16)
+        edges = g.edges()[rng.choice(g.m, 40, replace=False)].tolist()
+        gaps = np.argwhere(np.triu(~adj, 1))
+        pairs = edges + gaps[rng.choice(len(gaps), 40, replace=False)].tolist()
+        listed = 0
+        for a, b in pairs:
             for u, v in ((a, b), (b, a)):
                 expected = [
-                    (u, v, x, y)
-                    for x in range(n)
-                    for y in range(n)
-                    if len({u, v, x, y}) == 4 and adj[v, x] and adj[x, y] and adj[y, u]
+                    (x, y)
+                    for x in np.flatnonzero(adj[v]).tolist()
+                    if x != u
+                    for y in np.flatnonzero(adj[x] & adj[u]).tolist()
+                    if y != v
                 ]
-                assert c4_through_edge(g, u, v) == (len(expected), expected)
+                x, y = _c4_through_edge(g, u, v)
+                assert list(zip(x.tolist(), y.tolist())) == expected
+                listed += len(expected)
+        # ER(16) has no 4-cycle, and adding a non-edge closes 15, 16 or 17
+        assert 2 * 40 * 15 <= listed <= 2 * 40 * 17
 
 
 # ---------------------------------------------------------------------------

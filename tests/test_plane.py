@@ -80,7 +80,7 @@ def per_line_csr(n_points, lines):
     parts = [np.zeros(0, dtype=np.int64)]
     for i, line in enumerate(lines):
         arr = np.sort(_as_vertices(list(line)))
-        if len(arr) and (arr[0] < 0 or arr[-1] >= n_points):
+        if len(arr) and (arr[0] < 0 or arr[-1] >= min(n_points, 2**31)):
             raise ValueError(f"line {i} has a point index out of range")
         if np.any(arr[1:] == arr[:-1]):
             raise ValueError(f"line {i} contains a duplicate point")
@@ -89,6 +89,20 @@ def per_line_csr(n_points, lines):
         np.cumsum([len(arr) for arr in parts], dtype=np.int64),
         np.concatenate(parts).astype(np.int32),
     )
+
+
+def test_points_that_do_not_fit_int32_are_out_of_range():
+    # line_idx is int32: 2**35 used to be stored as 0, and the line came out unsorted
+    for n in (2**31 + 1, 2**40):
+        assert IncidenceStructure(n, [[2**31 - 1, 1]]).line(0).tolist() == [1, 2**31 - 1]
+        for big in (2**31, 2**35):
+            with pytest.raises(ValueError, match="^line 1 has a point index out of range$"):
+                IncidenceStructure(n, [[0], [big, 1], [2, 2]])
+    # the earlier bad line is still the one reported
+    with pytest.raises(ValueError, match="^line 0 contains a duplicate point$"):
+        IncidenceStructure(2**40, [[2, 2], [2**35]])
+    with pytest.raises(ValueError, match="is not an integer"):
+        IncidenceStructure(2**40, [[0.5], [2**35]])
 
 
 def test_vectorised_check_matches_per_line_oracle():

@@ -306,6 +306,27 @@ class TestAddEdge:
             assert r.measured["total_c4"] == 3
             assert not r.verdicts["all_cycles_counted_through_uv"]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sharing_verdict_on_any_simple_base(self, seed):
+        # true exactly when no two listed cycles share one of the edges vx, xy, yu
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(8, 13))
+        g = from_edges(n, np.argwhere(np.triu(rng.random((n, n)) < 0.4, 1)))
+        pg = PolarityGraph(2, g, np.zeros(0, dtype=np.int64), 0, 0, None)
+        verdicts = Counter()
+        for u in range(n):
+            for v in range(n):
+                if u == v or g.has_edge(u, v):
+                    continue
+                x, y = _c4_through_edge(g, u, v)
+                used = [frozenset(e) for a, b in zip(x.tolist(), y.tolist())
+                        for e in ((v, a), (a, b), (b, u))]
+                disjoint = len(set(used)) == len(used)
+                r = add_edge_experiment(pg, u, v)
+                assert r.verdicts["cycles_pairwise_share_only_uv"] is disjoint
+                verdicts[disjoint] += 1
+        assert verdicts[True] and verdicts[False]
+
     def test_refusals_keep_their_messages_and_order(self):
         pg = er_graph(4)
         for a, b, message in (
@@ -487,6 +508,7 @@ class TestRandomSupersat:
             return added
 
         pg = er_graph(q)
+        n_pairs = pg.n * (pg.n - 1) // 2 - pg.graph.m
         # about 20 hits per trial
         alpha = 40 / (pg.n * (pg.n - 1) - 2 * pg.graph.m)
         for block in (c4lab.supersat._DRAW_BLOCK, 7):
@@ -495,6 +517,17 @@ class TestRandomSupersat:
                 expected = per_row(pg, alpha, _rng(seed, 1))
                 assert expected
                 assert _bernoulli_additions(pg, alpha, _rng(seed, 1)) == expected
+            for seed in range(2):
+                # the least draw of the trial is a dyadic alpha that no draw is below;
+                # the next double up takes that one draw, the next one down none
+                least = float(_rng(seed, 1).random(n_pairs).min())
+                cases = {1.0: n_pairs, 2.0**-53: 0, least: 0}
+                cases[np.nextafter(least, 1.0)] = 1
+                cases[np.nextafter(least, 0.0)] = 0
+                for a, hits in cases.items():
+                    expected = per_row(pg, a, _rng(seed, 1))
+                    assert len(expected) == hits
+                    assert _bernoulli_additions(pg, a, _rng(seed, 1)) == expected
 
     def test_errors(self):
         with pytest.raises(ValueError, match="exceeds"):
