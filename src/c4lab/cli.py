@@ -23,7 +23,8 @@ from .extremal import (
     turan_lower_bound,
 )
 from .field import spec_for_order
-from .graph import count_c4, graph_stats, neighborhood_family, read_edge_list, write_edge_list
+from .graph import MAX_COUNT_N, count_c4, graph_stats, neighborhood_family
+from .graph import read_edge_list, write_edge_list
 from .plane import (
     _infer_order,
     build_pg2,
@@ -79,6 +80,8 @@ def _read(reader, path, **kwargs):
 def _vertex_count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    if int(text) > MAX_COUNT_N:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_COUNT_N} vertices, got {text}")
     return int(text)
 
 

@@ -247,13 +247,10 @@ class FieldSpec:
             return
         q = self.q
         order_factors = _factor_small(q - 1) if q > 2 else []
-        g = None
-        for cand in range(2, q) or [1]:
-            if all(self.pow_index(cand, (q - 1) // r) != 1 for r in order_factors):
-                g = cand
+        # the least primitive element; GF(2)'s is 1, the only candidate
+        for g in range(2, q) or [1]:
+            if all(self.pow_index(g, (q - 1) // r) != 1 for r in order_factors):
                 break
-        if g is None:
-            g = 1  # q == 2
         exp = np.zeros(max(2 * (q - 1), 1), dtype=np.int32)
         log = np.zeros(q, dtype=np.int32)
         cur = 1

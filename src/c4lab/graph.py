@@ -305,8 +305,7 @@ class GraphStats:
 def graph_stats(g: Graph, q: int) -> GraphStats:
     _check_counting_limits(g)
     degs = g.degrees().astype(np.int64)
-    hist_vals = np.bincount(degs) if g.n else np.zeros(0, dtype=np.int64)
-    histogram = {int(d): int(c) for d, c in enumerate(hist_vals) if c}
+    histogram = {int(d): int(c) for d, c in enumerate(np.bincount(degs)) if c}
     f_values = np.maximum(q + 1 - degs, 0)
     p2, up = _pair_counts(g, np.arange(g.n))
     return GraphStats(

@@ -18,7 +18,6 @@ import numpy as np
 
 from c4lab.field import spec_for_order
 from c4lab.graph import Graph, _c4_through_edge, _edge_codes, _pair_codes, count_c4
-from c4lab.plane import _ranges
 from c4lab.polarity import (
     PolarityGraph,
     degree_q_independence,
@@ -29,7 +28,6 @@ from c4lab.polarity import (
 
 RECOUNT_MAX_Q = 64  # above this the global recount is skipped (route is exact)
 _DRAW_BLOCK = 1 << 19  # raw draws per random_raw call: 4 MB of words
-_GATHER_BLOCK = 1 << 20  # wedges per cycle gather: a few int64 arrays of 8 MB
 
 
 @dataclass
@@ -107,49 +105,27 @@ def _rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-def _cycle_edge_codes(g: Graph, edges: np.ndarray) -> np.ndarray:
-    """Codes of the edges vx, xy, yu of each 4-cycle u-v-x-y-u through an edge (u, v).
-
-    One row per cycle and listed edge, from one gather over all the edges.
-    """
-    u, v = edges[:, 0], edges[:, 1]
-    deg, n = g.degrees(), g.n
-    # x runs over N(v) - u, y over N(x) - v; the cycle closes when y is in N(u)
-    at_v = np.repeat(np.arange(len(edges)), deg[v])
-    x = g.indices[_ranges(g.indptr[v], deg[v])]
-    is_u = x == u[at_v]
-    hits = np.bincount(at_v[is_u], minlength=len(edges))
-    if not hits.all():
-        k = int(hits.argmin())
-        raise ValueError(f"({u[k]}, {v[k]}) is not an edge")
-    at_v, x = at_v[~is_u], x[~is_u]
-    at_x = np.repeat(np.arange(len(x)), deg[x])
-    y = g.indices[_ranges(g.indptr[x], deg[x])]
-    owner = at_v[at_x]
-    at_u = np.repeat(np.arange(len(edges)), deg[u])
-    closes = (y != v[owner]) & np.isin(
-        owner * n + y, at_u * n + g.indices[_ranges(g.indptr[u], deg[u])]
-    )
-    owner, x, y = owner[closes], x[at_x[closes]], y[closes]
-    return _pair_codes(n, np.column_stack([v[owner], x, y]), np.column_stack([x, y, u[owner]]))
-
-
 def _cycle_partition(g: Graph, added) -> tuple[int, int]:
     """(C0, C1): 4-cycles of g through the added edges, split by usage.
 
     C0 counts cycles using exactly one added edge, C1 the rest.  When the
-    base graph was C4-free this is a partition of ALL 4-cycles of g.  A cycle
-    using j added edges is listed once from each of them, so the listings
-    that use j added edges number j times the cycles.  The edges are
-    gathered in chunks of at most _GATHER_BLOCK wedges.
+    base graph was C4-free this is a partition of ALL 4-cycles of g.  Each
+    distinct added edge uv, in code order, lists its paths v-x-y-u with
+    _c4_through_edge, so a cycle using j added edges is listed once from each
+    of them, and the listings that use j added edges number j times the cycles.
     """
     added = np.asarray(added, dtype=np.int64).reshape(-1, 2)
     codes, first = np.unique(_edge_codes(g.n, added), return_index=True)
-    step = max(1, _GATHER_BLOCK // int(g.degrees().max(initial=1)) ** 2)
-    listings = np.zeros(5, dtype=np.int64)  # by the number of added edges used
-    for lo in range(0, len(first), step):
-        listed = _cycle_edge_codes(g, added[first[lo : lo + step]])
-        listings += np.bincount(1 + np.isin(listed, codes).sum(axis=1), minlength=5)
+    paths = [np.zeros((0, 4), dtype=np.int64)]
+    for u, v in added[first].tolist():
+        if not g.has_edge(u, v):
+            raise ValueError(f"({u}, {v}) is not an edge")
+        x, y = _c4_through_edge(g, u, v)
+        paths.append(np.column_stack([np.full_like(x, v), x, y, np.full_like(y, u)]))
+    path = np.concatenate(paths)
+    # the codes of each listing's edges vx, xy and yu
+    listed = _pair_codes(g.n, path[:, :3], path[:, 1:])
+    listings = np.bincount(1 + np.isin(listed, codes).sum(axis=1), minlength=5)
     if np.any(listings[2:] % np.arange(2, 5)):
         raise AssertionError(f"cycle listings {listings[2:]} not multiples of 2, 3, 4")
     return int(listings[1]), int(np.sum(listings[2:] // np.arange(2, 5)))

@@ -5,10 +5,14 @@ import json
 
 import pytest
 
+import c4lab.cli
 import c4lab.supersat
+from c4lab.acceptance import _nonedge_pairs
 from c4lab.cli import cli_dispatch
+from c4lab.graph import MAX_COUNT_N, count_c4, write_edge_list
 from c4lab.plane import IncidenceStructure, build_pg2, write_incidence
 from c4lab.field import spec_for_order
+from c4lab.supersat import er_graph
 
 
 def run(capsys, *argv):
@@ -145,6 +149,31 @@ class TestGraphCommands:
         code, payload, _ = run_json(capsys, "graph", "count-c4", "--in", str(empty), "--n", "0")
         assert code == 0 and payload["n"] == 0 and payload["count_c4"] == 0
 
+    @pytest.mark.parametrize("bad", [10**20, 2**31, MAX_COUNT_N + 1])
+    @pytest.mark.parametrize(
+        "command",
+        [["graph", "count-c4"], ["graph", "stats", "--q", "8"], ["graph", "family", "--q", "8"],
+         ["supersat", "halfway", "--q", "8"]],
+    )
+    def test_vertex_count_above_the_counting_limit_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, command, bad
+    ):
+        # refused while the arguments are parsed, before any file is read
+        monkeypatch.setattr(c4lab.cli, "read_edge_list", None)
+        missing = str(tmp_path / "missing.edges")
+        with pytest.raises(SystemExit) as exc:
+            cli_dispatch(command + ["--in", missing, "--n", str(bad)])
+        assert exc.value.code == 2
+        assert f"expected at most {MAX_COUNT_N} vertices, got {bad}" in capsys.readouterr().err
+
+    def test_vertex_count_at_the_counting_limit_is_accepted(self, capsys, tmp_path):
+        empty = tmp_path / "empty.edges"
+        empty.write_text("")
+        code, payload, _ = run_json(
+            capsys, "graph", "count-c4", "--in", str(empty), "--n", str(MAX_COUNT_N)
+        )
+        assert code == 0 and payload["n"] == MAX_COUNT_N and payload["count_c4"] == 0
+
 
 class TestTuranCommands:
     def test_brute(self, capsys):
@@ -255,6 +284,26 @@ class TestSupersatCommands:
         )
         assert code == 2 and out == ""
         assert "an edge is listed twice in add" in err
+
+    def test_halfway(self, capsys, tmp_path):
+        g = er_graph(4).graph
+        g5 = g.add_edges(_nonedge_pairs(g)[:5])
+        path = str(tmp_path / "er4_plus_5.edges")
+        write_edge_list(g5, path)
+        code, payload, err = run_json(capsys, "supersat", "halfway", "--in", path, "--q", "4")
+        assert code == 0 and "all verdicts hold" in err
+        assert payload["measured"] == {"t": 5, "count": count_c4(g5)}
+        assert payload["config"]["in"] == path
+        # an odd order, and ER(4) itself with no edge above the threshold
+        write_edge_list(g, str(tmp_path / "er4.edges"))
+        for name, q, message in (
+            ("er4_plus_5", "3", "odd order"),
+            ("er4", "4", "edge count 50 is below the threshold 51"),
+        ):
+            code, out, err = run(
+                capsys, "supersat", "halfway", "--in", str(tmp_path / f"{name}.edges"), "--q", q
+            )
+            assert code == 2 and out == "" and message in err
 
     def test_domain_error_is_usage_exit(self, capsys):
         code, _, err = run(capsys, "supersat", "matching", "--q", "9", "--t", "1")

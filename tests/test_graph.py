@@ -609,6 +609,12 @@ class TestC4ThroughEdge:
         with pytest.raises(ValueError, match="not an edge"):
             c4_through_edge(petersen(), 0, 2)
 
+    def test_cycles_above_the_cap_are_only_counted(self, monkeypatch):
+        monkeypatch.setattr(c4lab.graph, "CYCLE_LIST_CAP", 2)
+        assert len(c4_through_edge(k(4), 0, 1)[1]) == 2
+        monkeypatch.setattr(c4lab.graph, "CYCLE_LIST_CAP", 1)
+        assert c4_through_edge(k(4), 0, 1) == (2, None)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_private_lister_on_a_non_edge_lists_the_cycles_uv_closes(self, seed):
         rng = np.random.default_rng(700 + seed)
@@ -734,6 +740,12 @@ class TestGraphStats:
         assert st.p2 == 6 + 1 + 1
         # only (0, 3) and (0, 4) lack a common neighbour
         assert st.up == 2
+
+    def test_no_vertices(self):
+        st = graph_stats(from_edges(0, []), q=3)
+        assert (st.n, st.m, st.degree_histogram, st.f_total, st.p2, st.up) == (0, 0, {}, 0, 0, 0)
+        for arr in (st.degrees, st.s_below, st.f_values):
+            assert arr.dtype == np.int64 and len(arr) == 0
 
 
 class TestClaimInequality:

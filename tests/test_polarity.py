@@ -1,5 +1,6 @@
 """Polarity verification and the structure of orthogonal polarity graphs."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import c4lab.polarity
 from c4lab.cli import cli_dispatch
 from c4lab.field import FieldSpec, spec_for_order
 from c4lab.graph import count_c4, from_edges
-from c4lab.plane import ProjectivePlane, build_pg2, index_of_triple
+from c4lab.plane import ProjectivePlane, build_pg2, index_of_triple, triple_of_index
 from c4lab.polarity import (
     Polarity,
     PolarityVerdict,
@@ -210,6 +211,21 @@ class TestPolarityGraph:
         assert pg.c4_count == 0
         with pytest.raises(AttributeError):
             pg.graph = g2
+
+    @pytest.mark.parametrize("q,a,m_pi,edges", [(4, 9, 2, 48), (9, 28, 6, 441)])
+    def test_unitary_polarity_has_q_root_q_plus_1_absolute_points(self, q, a, m_pi, edges):
+        # sigma([a:b:c]) = [a^r:b^r:c^r] with r = sqrt(q): a Baer count a = q + 1 + m*r
+        spec, r = spec_for_order(q), math.isqrt(q)
+        plane = build_pg2(spec)
+        sigma = [
+            index_of_triple(q, *(spec.pow_index(x, r) for x in triple_of_index(q, i)))
+            for i in range(plane.n_points)
+        ]
+        pi = Polarity(plane, sigma)
+        assert verify_polarity(pi).ok
+        pg = polarity_graph(pi)
+        assert (pg.a, pg.m_pi, pg.edge_count, count_c4(pg.graph)) == (a, m_pi, edges, 0)
+        assert a == q * r + 1
 
     def test_rejects_non_polarity(self):
         pi = orthogonal_polarity(spec_for_order(3))

@@ -18,11 +18,13 @@ from c4lab.cli import cli_dispatch
 from c4lab.graph import (
     _c4_through_edge,
     _edge_codes,
+    _pair_codes,
     c4_through_edge,
     count_c4,
     count_c4_bruteforce,
     from_edges,
 )
+from c4lab.plane import _ranges
 from c4lab.polarity import PolarityGraph
 from c4lab.supersat import (
     ExperimentReport,
@@ -70,25 +72,47 @@ def cycle_usage_oracle(g, added) -> Counter:
     return Counter(len(cyc & added_set) for cyc in seen)
 
 
-def loop_partition(g, added, drop=None):
-    """(C0, C1) from one _c4_through_edge listing per distinct added edge.
+def gather_partition(g, added, drop=None):
+    """(C0, C1) from one gather of the cycles through every distinct added edge.
 
-    The per-edge loop that the one-gather _cycle_partition replaced; ``drop``
-    skips the listings of that edge, in the order of the edge codes.
+    The batched np.isin lister that the per-edge _cycle_partition replaced;
+    ``drop`` leaves out the edge at that position in the order of the edge codes.
     """
     added = np.asarray(added, dtype=np.int64).reshape(-1, 2)
     codes, first = np.unique(_edge_codes(g.n, added), return_index=True)
-    listings = np.zeros(5, dtype=np.int64)
-    for k, (u, v) in enumerate(added[first].tolist()):
-        if k == drop:
-            continue
-        x, y = _c4_through_edge(g, u, v)
-        pairs = np.column_stack([np.full_like(x, v), x, x, y, y, np.full_like(y, u)])
-        listed = _edge_codes(g.n, pairs.reshape(-1, 2)).reshape(-1, 3)
-        listings += np.bincount(1 + np.isin(listed, codes).sum(axis=1), minlength=5)
+    edges = np.delete(added[first], [] if drop is None else [drop], axis=0)
+    u, v = edges[:, 0], edges[:, 1]
+    deg, n = g.degrees(), g.n
+    # x runs over N(v) - u, y over N(x) - v; the cycle closes when y is in N(u)
+    at_v = np.repeat(np.arange(len(edges)), deg[v])
+    x = g.indices[_ranges(g.indptr[v], deg[v])]
+    is_u = x == u[at_v]
+    at_v, x = at_v[~is_u], x[~is_u]
+    at_x = np.repeat(np.arange(len(x)), deg[x])
+    y = g.indices[_ranges(g.indptr[x], deg[x])]
+    owner = at_v[at_x]
+    at_u = np.repeat(np.arange(len(edges)), deg[u])
+    closes = (y != v[owner]) & np.isin(
+        owner * n + y, at_u * n + g.indices[_ranges(g.indptr[u], deg[u])]
+    )
+    owner, x, y = owner[closes], x[at_x[closes]], y[closes]
+    listed = _pair_codes(n, np.column_stack([v[owner], x, y]), np.column_stack([x, y, u[owner]]))
+    listings = np.bincount(1 + np.isin(listed, codes).sum(axis=1), minlength=5)
     if np.any(listings[2:] % np.arange(2, 5)):
         raise AssertionError(f"cycle listings {listings[2:]} not multiples of 2, 3, 4")
     return int(listings[1]), int(np.sum(listings[2:] // np.arange(2, 5)))
+
+
+def dropping(codes_of_dropped):
+    """A _c4_through_edge that lists nothing for the edges with the given codes."""
+
+    def listing(g, u, v):
+        x, y = _c4_through_edge(g, u, v)
+        if _edge_codes(g.n, [(u, v)])[0] in codes_of_dropped:
+            return x[:0], y[:0]
+        return x, y
+
+    return listing
 
 
 def outcome(fn, *args):
@@ -143,45 +167,30 @@ def test_cycle_partition_rejects_a_missing_listing(monkeypatch):
     g2 = g.add_edges(added)
     assert cycle_usage_oracle(g2, added)[2] == 1
     # listing the cycle from ab alone leaves one listing for a two-edge cycle
-    real = c4lab.supersat._cycle_edge_codes
-    ab = _edge_codes(g.n, [(a, b)])
-    monkeypatch.setattr(
-        c4lab.supersat,
-        "_cycle_edge_codes",
-        lambda g, edges: real(g, edges[_edge_codes(g.n, edges) == ab]),
-    )
+    monkeypatch.setattr(c4lab.supersat, "_c4_through_edge", dropping(_edge_codes(g.n, [(c, d)])))
     with pytest.raises(AssertionError, match="not multiples"):
         _cycle_partition(g2, added)
 
 
 @pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
 def test_cycle_partition_matches_the_per_edge_loop(monkeypatch, q):
+    # the per-edge _cycle_partition against the batched gather, with and
+    # without one edge's listings; the last case adds 30 random non-edges
     pg = er_graph(q)
     rng = np.random.default_rng(70 + q)
-    real = c4lab.supersat._cycle_edge_codes
-    for _ in range(4):
-        added = list(dict.fromkeys(star_perturbation(pg, rng) + nonedges(pg, rng, 4)))
+    cases = [star_perturbation(pg, rng) + nonedges(pg, rng, 4) for _ in range(4)]
+    for added in cases + [nonedges(pg, np.random.default_rng(5), 30)]:
+        added = list(dict.fromkeys(added))
         g2 = pg.graph.add_edges(added)
-        assert _cycle_partition(g2, added) == loop_partition(g2, added)
+        assert _cycle_partition(g2, added) == gather_partition(g2, added)
         # the same verdict when one edge's listings go missing
-        drop = int(rng.integers(len(added)))
+        codes = np.unique(_edge_codes(g2.n, added))
+        drop = int(rng.integers(len(codes)))
         with monkeypatch.context() as m:
-            m.setattr(
-                c4lab.supersat,
-                "_cycle_edge_codes",
-                lambda g, edges: real(g, np.delete(edges, drop, axis=0)),
-            )
+            m.setattr(c4lab.supersat, "_c4_through_edge", dropping(codes[drop : drop + 1]))
             assert outcome(_cycle_partition, g2, added) == outcome(
-                loop_partition, g2, added, drop
+                gather_partition, g2, added, drop
             )
-
-
-def test_cycle_partition_gathers_in_blocks(monkeypatch):
-    pg = er_graph(8)
-    added = nonedges(pg, np.random.default_rng(5), 30)
-    g2 = pg.graph.add_edges(added)
-    monkeypatch.setattr(c4lab.supersat, "_GATHER_BLOCK", 1)
-    assert _cycle_partition(g2, added) == loop_partition(g2, added)
 
 
 def test_cycle_partition_rejects_an_absent_edge():
@@ -367,7 +376,7 @@ class TestAddEdge:
 
         # the cycles that uv closes are listed on the base itself
         monkeypatch.setattr(c4lab.graph.Graph, "add_edges", refuse)
-        monkeypatch.setattr(c4lab.supersat, "_cycle_edge_codes", refuse)
+        monkeypatch.setattr(c4lab.supersat, "_cycle_partition", refuse)
         for pg, u, v, recount in cases:
             r = add_edge_experiment(pg, u, v)
             assert r.passed() and r.measured["total_c4"] == recount
@@ -690,6 +699,19 @@ class TestUpperCountAudit:
             "s": 0, "C0": 0, "C1": 0, "bound_c0": 0, "bound_c1": 0,
             "bound_ok": True, "total": 0,
         }
+
+    def test_total_is_the_partition_above_the_recount_limit(self, monkeypatch):
+        pg = er_graph(8)
+        add = nonedges(pg, np.random.default_rng(4), 5)
+        expected = upper_count_audit(pg, add)
+
+        def refuse(g):
+            raise AssertionError("recounted above RECOUNT_MAX_Q")
+
+        monkeypatch.setattr(c4lab.supersat, "RECOUNT_MAX_Q", 0)
+        monkeypatch.setattr(c4lab.supersat, "count_c4", refuse)
+        out = upper_count_audit(pg, add)
+        assert out == expected and out["total"] == out["C0"] + out["C1"]
 
     def test_cap(self):
         pg = er_graph(16)
