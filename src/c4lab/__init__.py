@@ -35,7 +35,6 @@ from .graph import (
     count_c4_bruteforce,
     from_edges,
     graph_stats,
-    is_c4_free,
     neighborhood_family,
     read_edge_list,
     write_edge_list,
@@ -112,7 +111,6 @@ __all__ = [
     "graph_stats",
     "h_bruteforce",
     "halfway_bound_check",
-    "is_c4_free",
     "is_irreducible",
     "is_one_intersecting",
     "is_prime",

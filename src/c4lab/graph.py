@@ -4,17 +4,19 @@ Only this module knows the edge encoding: an edge's int64 code min(u, v)*n +
 max(u, v) is also the CSR key row*n + column of its upper entry.  Graphs gain
 and lose edges by splicing ``indices`` at the positions one ``searchsorted`` of
 the new keys finds in the graph's own sorted keys, not by a rebuild; the result
-is a new graph and the original's arrays are never written.
+is a new graph and the original's arrays are never written.  ``Graph(...)``
+validates a CSR once; the builders here adopt theirs unchecked through
+``Graph._from_csr``, and every scan trusts a graph to be canonical.
 
 The fast counting path computes codegrees blockwise by enumerating wedges
 u -> w -> x over the CSR arrays (the kernel in ``c4lab.plane``) and counting
 their endpoints in exact integers; the independent brute-force oracle
 enumerates vertex quadruples on a dense boolean matrix.  Both count the
-number of distinct 4-cycle subgraphs.  ``count_c4`` and ``is_c4_free`` take
-only the middles w > u, so each 4-cycle is counted once, from its least vertex
-u and the vertex x opposite it (vertex-priority counting with the vertex id as
-the priority); the pair counts scan the full codegrees of a neighbourhood
-family and read only how many pairs are covered.
+number of distinct 4-cycle subgraphs.  ``count_c4`` takes only the middles
+w > u, so each 4-cycle is counted once, from its least vertex u and the vertex
+x opposite it (vertex-priority counting with the vertex id as the priority);
+the pair counts scan the full codegrees of a neighbourhood family and read
+only how many pairs are covered.
 """
 
 from __future__ import annotations
@@ -46,26 +48,50 @@ MAX_BRUTEFORCE_N = 64
 CYCLE_LIST_CAP = 10**6
 
 class Graph:
-    """Undirected simple graph; adjacency stored as CSR with sorted rows."""
+    """Undirected simple graph as a CSR with sorted rows; ``Graph(...)`` raises
+    ValueError unless its input is the canonical CSR that ``from_edges`` builds."""
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
-        self.n = int(n)
-        self.indptr = indptr
-        self.indices = indices
+    def __init__(self, n: int, indptr, indices):
+        n, indptr, indices = int(n), np.asarray(indptr), np.asarray(indices)
+        if not (n >= 0 and indptr.shape == (n + 1,) and indptr.dtype.kind in "iu"
+                and indptr[0] == 0 and indptr[-1] == indices.size
+                and np.all(indptr[:-1] <= indptr[1:])):
+            raise ValueError(f"indptr must be {n + 1} nondecreasing integers from 0 to {indices.size}")
+        rows = np.repeat(np.arange(n, dtype=np.int64), indptr[1:] - indptr[:-1])
+        # _edge_codes refuses non-integers, out-of-range values and loops
+        keys = _edge_keys(n, _edge_codes(n, np.stack([rows, indices], axis=1)))
+        own = rows * n + indices.astype(np.int64)
+        if not np.array_equal(own, keys):
+            k = int(np.argmin(np.append(own[: len(keys)] == keys[: len(own)], False)))
+            r, c = divmod(min(own[k : k + 1].tolist() + keys[k : k + 1].tolist()), n)
+            raise ValueError(f"CSR entry ({r}, {c}) is missing, repeated or out of order")
+        self.n, self.indptr, self.indices = n, indptr.astype(np.int64), indices.astype(np.int32)
         self.m = len(indices) // 2
+
+    @classmethod
+    def _from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+        """A graph on a canonical CSR with int64 indptr and int32 indices, unchecked."""
+        g = cls.__new__(cls)
+        g.n, g.indptr, g.indices, g.m = int(n), indptr, indices, len(indices) // 2
+        return g
+
+    def _vertex(self, v, what: str = "vertex") -> int:
+        """v as an int in [0, n), refusing a value that is not an integer as _as_vertices does."""
+        v = int(v if isinstance(v, (int, np.integer)) else _as_vertices(v))
+        if not 0 <= v < self.n:
+            raise ValueError(f"{what} out of range")
+        return v
 
     def degrees(self) -> np.ndarray:
         return self.indptr[1:] - self.indptr[:-1]
 
     def neighbors(self, v: int) -> np.ndarray:
-        if not 0 <= v < self.n:
-            raise ValueError("vertex out of range")
+        v = self._vertex(v)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError("edge endpoint out of range")
-        row = self.neighbors(u)
+        u, v = self._vertex(u, "edge endpoint"), self._vertex(v, "edge endpoint")
+        row = self.indices[self.indptr[u] : self.indptr[u + 1]]
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 
@@ -96,13 +122,13 @@ class Graph:
         """A new graph with the given edges added (edges already present rejected)."""
         keys, at = self._locate(new_edges, present=False)
         indptr = self.indptr + np.searchsorted(keys, np.arange(self.n + 1) * self.n)
-        return Graph(self.n, indptr, np.insert(self.indices, at, keys % self.n))
+        return Graph._from_csr(self.n, indptr, np.insert(self.indices, at, keys % self.n))
 
     def remove_edges(self, gone_edges) -> "Graph":
         """A new graph with the given edges removed (absent edges rejected)."""
         keys, at = self._locate(gone_edges, present=True)
         indptr = self.indptr - np.searchsorted(keys, np.arange(self.n + 1) * self.n)
-        return Graph(self.n, indptr, np.delete(self.indices, at))
+        return Graph._from_csr(self.n, indptr, np.delete(self.indices, at))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -146,7 +172,7 @@ def from_edges(n: int, edges) -> Graph:
         raise ValueError("n must be nonnegative")
     keys = _edge_keys(n, _edge_codes(n, edges))
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return Graph(n, indptr, (keys % n).astype(np.int32))
+    return Graph._from_csr(n, indptr, (keys % n).astype(np.int32))
 
 
 def _neighborhoods(g: Graph, vertices: np.ndarray) -> IncidenceStructure:
@@ -178,8 +204,6 @@ def _pair_counts(g: Graph, a: np.ndarray) -> tuple[int, int]:
 
 def codegree(g: Graph, u: int, v: int) -> int:
     """Number of common neighbours of two distinct vertices (sorted merge)."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
     if u == v:
         raise ValueError("codegree requires two distinct vertices")
     return len(np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True))
@@ -203,16 +227,6 @@ def count_c4(g: Graph) -> int:
     # each block adds sum C(c, 2) = (c.c - sum c) / 2, and sum c is its wedge count
     blocks = _codegree_blocks(g.indptr, g.indices, least=True)
     return sum(int(np.dot(c, c) - wedges) // 2 for *_, c, wedges in blocks)
-
-
-def is_c4_free(g: Graph) -> bool:
-    """No pair s < x has two common neighbours above s.
-
-    Every block is scanned, so that its symmetry check runs, before the answer.
-    """
-    _check_counting_limits(g)
-    blocks = _codegree_blocks(g.indptr, g.indices, least=True)
-    return max((int(c.max(initial=0)) for *_, c, _ in blocks), default=0) <= 1
 
 
 @lru_cache(maxsize=None)
@@ -280,6 +294,7 @@ def c4_through_edge(g: Graph, u: int, v: int):
     """
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
+    u, v = int(u), int(v)
     xs, ys = _c4_through_edge(g, u, v)
     if len(xs) > CYCLE_LIST_CAP:
         return len(xs), None

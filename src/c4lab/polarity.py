@@ -164,7 +164,7 @@ def polarity_graph(pi: Polarity) -> PolarityGraph:
     n = pi.plane.n_points
     off = rows != cols
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[off], minlength=n))])
-    g = Graph(n, indptr, cols[off].astype(np.int32))
+    g = Graph._from_csr(n, indptr, cols[off].astype(np.int32))
 
     degs = g.degrees()
     expected = np.full(g.n, q + 1, dtype=np.int64)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,6 @@ from c4lab.graph import (
     count_c4_bruteforce,
     from_edges,
     graph_stats,
-    is_c4_free,
     neighborhood_family,
     read_edge_list,
     write_edge_list,
@@ -100,7 +100,6 @@ def test_scans_do_not_depend_on_block_size(monkeypatch):
         stats = graph_stats(g, 3)
         return (
             count_c4(g),
-            is_c4_free(g),
             (stats.p2, stats.up),
             claim_c4_inequality(g, range(0, 30, 2)),
             is_one_intersecting(family),
@@ -109,8 +108,8 @@ def test_scans_do_not_depend_on_block_size(monkeypatch):
         )
 
     expected = scans()
-    assert expected[4][0] is False and expected[5][0] is False
-    assert expected[6] == (0, 1, 2)
+    assert expected[3][0] is False and expected[4][0] is False
+    assert expected[5] == (0, 1, 2)
     # blocks of one or two rows
     monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", 40)
     assert scans() == expected
@@ -176,7 +175,7 @@ def test_counts_and_passing_audits_list_no_pairs(monkeypatch):
     pg = er_graph(16)
     for ratio in (0, 10**9):
         monkeypatch.setattr(c4lab.plane, "_SPARSE_RATIO", ratio)
-        assert count_c4(pg.graph) == 0 and is_c4_free(pg.graph)
+        assert count_c4(pg.graph) == 0
         assert count_c4(perturbed_er_graph(16, 1)) > 0
         assert verify_projective_plane(pg.polarity.plane).ok
         stats = graph_stats(pg.graph, 16)
@@ -193,7 +192,6 @@ def invariants(g: Graph, q: int) -> tuple:
     stats = graph_stats(g, q)
     return (
         count_c4(g),
-        is_c4_free(g),
         stats.degree_histogram,
         stats.p2,
         stats.up,
@@ -241,9 +239,14 @@ def test_least_vertex_count_is_half_the_full_scan(monkeypatch, block, ratio):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 32])
 def test_c4_free_exactly_when_the_count_is_zero(q):
+    # C4-free means no two vertices share two neighbours, read off the full scan
+    def max_codegree(g):
+        blocks = _codegree_blocks(g.indptr, g.indices)
+        return max((int(c.max(initial=0)) for *_, c, _ in blocks), default=0)
+
     free, perturbed = er_graph(q).graph, perturbed_er_graph(q, q)
-    assert is_c4_free(free) and count_c4(free) == 0
-    assert is_c4_free(perturbed) == (count_c4(perturbed) == 0)
+    assert max_codegree(free) <= 1 and count_c4(free) == 0
+    assert max_codegree(perturbed) >= 2 and count_c4(perturbed) > 0
 
 
 def test_sparse_graph_at_the_vertex_limit():
@@ -253,7 +256,6 @@ def test_sparse_graph_at_the_vertex_limit():
     cycle = [(top[0], top[1]), (top[1], top[2]), (top[2], top[3]), (top[3], top[0])]
     g = from_edges(n, cycle + [(top[3], top[4]), (top[4], top[5])])
     assert count_c4(g) == 1
-    assert not is_c4_free(g)
     stats = graph_stats(g, 2)
     # degrees 2, 2, 2, 3, 2, 1
     assert stats.p2 == 1 + 1 + 1 + 3 + 1
@@ -321,6 +323,21 @@ class TestFromEdges:
         g = petersen()
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
+
+    def test_vertex_arguments_must_be_integers(self):
+        g = k(4)
+        for call in (
+            lambda: g.neighbors(0.5), lambda: g.has_edge(0.5, 1), lambda: g.has_edge(1, 0.5),
+            lambda: codegree(g, 0.5, 1), lambda: c4_through_edge(g, 0.5, 1),
+        ):
+            with pytest.raises(ValueError, match=r"^vertex 0\.5 is not an integer$"):
+                call()
+        # integer values of any type are accepted, and the cycles hold plain ints
+        for u, v in ((np.int64(0), np.uint8(1)), (0.0, 1.0)):
+            cycles = c4_through_edge(g, u, v)[1]
+            assert cycles == [(0, 1, 2, 3), (0, 1, 3, 2)]
+            assert all(type(w) is int for cycle in cycles for w in cycle)
+        assert g.has_edge(np.int32(2), 3.0) and codegree(g, np.int64(0), 1.0) == 2
 
     @pytest.mark.parametrize("accessor, index", [
         ("neighbors", -3), ("neighbors", 7), ("line", -2), ("line", 7),
@@ -426,6 +443,28 @@ class TestCodegree:
                 codegree(g, u, v)
 
 
+# Graph(...) refuses each kind of malformed CSR with its message; K4 on 0..3
+# is the base, and the loop and the repeated entry made count_c4 read 6 and 7
+# when the constructor checked nothing
+K4_PTR, K4_IDX = [0, 3, 6, 9, 12], [1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2]
+BAD_INDPTR = r"^indptr must be 5 nondecreasing integers from 0 to (9|12)$"
+NOT_CANONICAL = r"is missing, repeated or out of order$"
+MALFORMED_CSRS = {
+    "loop": (4, [0, 3, 6, 9, 13], K4_IDX + [3], r"^loop at vertex 3 rejected$"),
+    "duplicate-entry": (4, [0, 4, 8, 11, 14], [1, 1, 2, 3, 0, 0, 2, 3, 0, 1, 3, 0, 1, 2],
+                        r"^CSR entry \(0, 1\) " + NOT_CANONICAL),
+    "indptr-length": (4, K4_PTR[:4], K4_IDX[:9], BAD_INDPTR),
+    "indptr-start": (4, [1, 3, 6, 9, 12], K4_IDX, BAD_INDPTR),
+    "indptr-decreasing": (4, [0, 3, 2, 9, 12], K4_IDX, BAD_INDPTR),
+    "indptr-end": (4, [0, 3, 6, 9, 11], K4_IDX, BAD_INDPTR),
+    "negative-index": (4, K4_PTR, [-1] + K4_IDX[1:], r"^edge endpoint out of range$"),
+    "index-beyond-n": (4, K4_PTR, [1, 2, 4] + K4_IDX[3:], r"^edge endpoint out of range$"),
+    "fractional-index": (4, K4_PTR, [1, 2, 3.5] + K4_IDX[3:], r"^vertex 3\.5 is not an integer$"),
+    "unsorted-row": (4, K4_PTR, [2, 1] + K4_IDX[2:], r"^CSR entry \(0, 1\) " + NOT_CANONICAL),
+    "asymmetric-entry": (4, [0, 3, 6, 9, 11], K4_IDX[:11], r"^CSR entry \(3, 2\) " + NOT_CANONICAL),
+}
+
+
 KNOWN_COUNTS = [
     # (builder, expected number of 4-cycles)
     (lambda: from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 1),
@@ -464,7 +503,6 @@ class TestCountC4:
         g = builder()
         assert g.n > MAX_BRUTEFORCE_N
         assert count_c4(g) == expected
-        assert not is_c4_free(g)
 
     @pytest.mark.parametrize("n,p,seed", [
         (8, 0.3, 1), (8, 0.7, 2), (12, 0.2, 3), (12, 0.5, 4),
@@ -476,9 +514,9 @@ class TestCountC4:
         assert count_c4(g) == count_c4_bruteforce(g)
 
     def test_is_c4_free(self):
-        assert is_c4_free(petersen())
-        assert not is_c4_free(k(4))
-        assert is_c4_free(from_edges(3, [(0, 1), (1, 2), (0, 2)]))  # triangle
+        assert count_c4(petersen()) == 0
+        assert count_c4(k(4)) != 0
+        assert count_c4(from_edges(3, [(0, 1), (1, 2), (0, 2)])) == 0  # triangle
 
     def test_bruteforce_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -498,25 +536,54 @@ class TestCountC4:
 
     def test_parity_invariant_survives_optimize(self):
         # hand-built asymmetric CSRs: 0, 1 -> {2, 3} with rows 2, 3 empty, whose
-        # columns 2, 3 hold entries that their rows lack, and the directed
-        # 3-cycle 0 -> 1 -> 2 -> 0, whose column counts equal its row degrees
-        for ptr, idx, message in (
-            ([0, 2, 4, 4, 4], [2, 3, 2, 3], "column counts differ from row degrees"),
-            ([0, 1, 2, 3], [1, 2, 0], "entry (0, 1) has no mirror"),
-        ):
-            result = run_python(
-                "-O",
-                "-c",
-                "import numpy as np; from c4lab.graph import Graph, count_c4; "
-                f"count_c4(Graph({len(ptr) - 1}, np.array({ptr}), np.array({idx})))",
-            )
-            assert result.returncode != 0
-            assert f"AssertionError: {message}: the CSR is not symmetric" in result.stderr
+        # columns 2, 3 hold entries that their rows lack; the directed 3-cycle
+        # 0 -> 1 -> 2 -> 0, whose column counts equal its row degrees; and K4 on
+        # 0..3 next to the directed 3-cycle 4 -> 5 -> 6 -> 4.  Each names the
+        # first missing mirror in row-major order.  With them, every malformed
+        # kind above, all refused in one interpreter run under -O
+        cases = [
+            (4, [0, 2, 4, 4, 4], [2, 3, 2, 3], r"^CSR entry \(2, 0\) is missing"),
+            (3, [0, 1, 2, 3], [1, 2, 0], r"^CSR entry \(0, 2\) is missing"),
+            (7, [0, 3, 6, 9, 12, 13, 14, 15], [1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2, 5, 6, 4],
+             r"^CSR entry \(4, 6\) is missing"),
+            *MALFORMED_CSRS.values(),
+        ]
+        result = run_python(
+            "-O",
+            "-c",
+            "import numpy as np; from c4lab.graph import Graph\n"
+            f"for n, ptr, idx in {[case[:3] for case in cases]}:\n"
+            "    try:\n"
+            "        Graph(n, np.array(ptr), np.array(idx))\n"
+            "        print('accepted')\n"
+            "    except ValueError as err:\n"
+            "        print(err)",
+        )
+        assert result.returncode == 0, result.stderr
+        messages = result.stdout.splitlines()
+        assert len(messages) == len(cases)
+        for message, (*_, pattern) in zip(messages, cases):
+            assert re.search(pattern, message), message
+
+    @pytest.mark.parametrize("kind", MALFORMED_CSRS)
+    def test_malformed_csr_is_refused(self, kind):
+        n, ptr, idx, pattern = MALFORMED_CSRS[kind]
+        with pytest.raises(ValueError, match=pattern):
+            Graph(n, np.array(ptr), np.array(idx))
+
+    @pytest.mark.parametrize("build", [
+        lambda: k(4), petersen, lambda: from_edges(5, []), lambda: random_graph(20, 0.3, 7),
+    ], ids=["K4", "petersen", "empty", "random"])
+    def test_canonical_csr_is_accepted(self, build):
+        g = build()
+        for ptr, idx in ((g.indptr, g.indices), (g.indptr.tolist(), g.indices.astype(np.int64))):
+            assert same_csr(Graph(g.n, ptr, idx), g)
 
     @pytest.mark.parametrize("block", [c4lab.plane._BLOCK_SIZE, 40], ids=["default", "40"])
     def test_asymmetric_csrs_are_refused(self, monkeypatch, block):
         # differential against the dense check a == a.T: loop-free sorted CSRs,
-        # half of them symmetrised, and the directed 3-cycle
+        # half of them symmetrised, and the directed 3-cycle; an asymmetric one
+        # is refused at the first entry, in row-major order, whose mirror is missing
         monkeypatch.setattr(c4lab.plane, "_BLOCK_SIZE", block)
         rng = np.random.default_rng(29)
         mats = [np.roll(np.eye(3, dtype=bool), 1, axis=1)]
@@ -527,44 +594,17 @@ class TestCountC4:
             mats.append(a | a.T if rng.random() < 0.5 else a)
         refused = 0
         for a in mats:
-            g = Graph(len(a), np.concatenate([[0], np.cumsum(a.sum(axis=1))]),
-                      np.nonzero(a)[1].astype(np.int32))
+            ptr = np.concatenate([[0], np.cumsum(a.sum(axis=1))])
+            idx = np.nonzero(a)[1].astype(np.int32)
             if np.array_equal(a, a.T):
+                g = Graph(len(a), ptr, idx)
                 assert count_c4(g) == count_c4_bruteforce(g)
                 continue
             refused += 1
-            with pytest.raises(AssertionError, match="the CSR is not symmetric"):
-                count_c4(g)
-            with pytest.raises(AssertionError, match="the CSR is not symmetric"):
-                is_c4_free(g)
+            r, c = np.argwhere(a.T & ~a)[0]
+            with pytest.raises(ValueError, match=rf"^CSR entry \({r}, {c}\) is missing"):
+                Graph(len(a), ptr, idx)
         assert refused > 250
-
-    def test_is_c4_free_checks_every_block_before_it_answers(self):
-        # K4 on 0..3, whose first block already has a codegree of 2, then the
-        # directed 3-cycle 4 -> 5 -> 6 -> 4, whose column counts equal its row
-        # degrees; one wedge per block puts the cycle in later blocks
-        graph = (
-            "Graph(7, np.array([0, 3, 6, 9, 12, 13, 14, 15]), "
-            "np.array([1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2, 5, 6, 4]))"
-        )
-        for flags in ([], ["-O"]):
-            result = run_python(
-                *flags,
-                "-c",
-                "import numpy as np; import c4lab.plane; "
-                "from c4lab.graph import Graph, count_c4, is_c4_free; "
-                f"c4lab.plane._BLOCK_SIZE = 1; g = {graph}\n"
-                "for check in (count_c4, is_c4_free):\n"
-                "    try:\n"
-                "        check(g)\n"
-                "    except AssertionError as err:\n"
-                "        print(check.__name__, err)",
-            )
-            assert result.returncode == 0, result.stderr
-            assert result.stdout.splitlines() == [
-                f"{name} entry (4, 5) has no mirror: the CSR is not symmetric"
-                for name in ("count_c4", "is_c4_free")
-            ]
 
     def test_fast_route_degree_limit(self):
         hub = (1 << 10) + 1
