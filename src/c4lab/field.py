@@ -7,9 +7,10 @@ element enumeration (0 first, constants before x, e.g. GF(4) = [0, 1, x, x+1]).
 Polynomial coefficient vectors everywhere in this module are low degree first.
 
 Scalar arithmetic on indices takes the polynomial route of FieldSpec's *_index
-methods, which also build the exp/log tables behind the v* methods that the
-plane builder applies to numpy index arrays.  Both reduce modulo the same fixed
-irreducible polynomial, found by lexicographic search unless given explicitly.
+methods, which also build the q*q addition and multiplication tables behind the
+v* methods that the plane builder applies to numpy index arrays: each v* call
+is one gather from a table.  Both reduce modulo the same fixed irreducible
+polynomial, found by lexicographic search unless given explicitly.
 """
 
 from __future__ import annotations
@@ -187,10 +188,10 @@ class FieldSpec:
         self.k = k
         self.q = q
         self.modulus = tuple(modulus)
-        self._exp: np.ndarray | None = None
-        self._log: np.ndarray | None = None
-        self._inv: np.ndarray | None = None
+        self._add: np.ndarray | None = None
+        self._mul: np.ndarray | None = None
         self._neg: np.ndarray | None = None
+        self._inv: np.ndarray | None = None
 
     # -- index <-> coefficient vector ------------------------------------
 
@@ -240,19 +241,26 @@ class FieldSpec:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         return self.pow_index(i, self.q - 2)
 
-    # -- exp/log tables and vectorized index arithmetic ------------------
+    # -- q x q tables and vectorized index arithmetic --------------------
 
     def _ensure_tables(self) -> None:
-        if self._exp is not None:
+        """Build the flattened q*q addition and multiplication tables, once.
+
+        Entry a*q + b holds a + b (resp. a * b).  Addition is XOR of the packed
+        coefficient bits in characteristic 2 and a digit-wise sum mod p
+        otherwise; nonzero products come from exp/log tables of the least
+        primitive element.  Negatives and inverses are read off the tables.
+        """
+        if self._add is not None:
             return
-        q = self.q
+        p, q = self.p, self.q
         order_factors = _factor_small(q - 1) if q > 2 else []
         # the least primitive element; GF(2)'s is 1, the only candidate
         for g in range(2, q) or [1]:
             if all(self.pow_index(g, (q - 1) // r) != 1 for r in order_factors):
                 break
-        exp = np.zeros(max(2 * (q - 1), 1), dtype=np.int32)
-        log = np.zeros(q, dtype=np.int32)
+        exp = np.zeros(max(2 * (q - 1), 1), dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
         cur = 1
         for i in range(q - 1):
             exp[i] = cur
@@ -261,51 +269,42 @@ class FieldSpec:
             cur = self.mul_index(cur, g)
         if cur != 1:
             raise AssertionError("generator order mismatch")
-        inv = np.zeros(q, dtype=np.int32)
-        inv[0] = -1
-        for i in range(1, q):
-            inv[i] = exp[(q - 1 - log[i]) % (q - 1)]
-        neg = np.array([self.neg_index(i) for i in range(q)], dtype=np.int32)
-        self._exp, self._log, self._inv, self._neg = exp, log, inv, neg
+        a, b = np.ogrid[:q, :q]
+        if p == 2:
+            add = a ^ b
+        else:
+            add = np.zeros((q, q), dtype=np.int64)
+            pw = 1
+            for _ in range(self.k):
+                add += (a % p + b % p) % p * pw
+                a, b, pw = a // p, b // p, pw * p
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
+        # row 0 has no inverse; its argmax entry 0 is never read, as vinv refuses 0
+        tables = (add.ravel(), mul.ravel(), np.argmax(add == 0, axis=1), np.argmax(mul == 1, axis=1))
+        for t in tables:
+            t.flags.writeable = False
+        self._add, self._mul, self._neg, self._inv = tables
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field addition on index arrays."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.p == 2:
-            return a ^ b  # indices are packed coefficient bits in char 2
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pw = 1
-        for _ in range(self.k):
-            out += ((a % self.p + b % self.p) % self.p) * pw
-            a = a // self.p
-            b = b // self.p
-            pw *= self.p
-        return out
+        self._ensure_tables()
+        return self._add[np.asarray(a, dtype=np.int64) * self.q + np.asarray(b, dtype=np.int64)]
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         self._ensure_tables()
-        return self._neg[np.asarray(a, dtype=np.int64)].astype(np.int64)
+        return self._neg[np.asarray(a, dtype=np.int64)]
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._ensure_tables()
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        if np.any(nz):
-            la = self._log[np.where(nz, a, 1)]
-            lb = self._log[np.where(nz, b, 1)]
-            vals = self._exp[la + lb]
-            out[...] = np.where(nz, vals, 0)
-        return out
+        return self._mul[np.asarray(a, dtype=np.int64) * self.q + np.asarray(b, dtype=np.int64)]
 
     def vinv(self, a: np.ndarray) -> np.ndarray:
         self._ensure_tables()
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        return self._inv[a].astype(np.int64)
+        return self._inv[a]
 
     # ---------------------------------------------------------------------
 

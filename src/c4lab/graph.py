@@ -52,8 +52,8 @@ class Graph:
     ValueError unless its input is the canonical CSR that ``from_edges`` builds."""
 
     def __init__(self, n: int, indptr, indices):
-        n, indptr, indices = int(n), np.asarray(indptr), np.asarray(indices)
-        if not (n >= 0 and indptr.shape == (n + 1,) and indptr.dtype.kind in "iu"
+        n, indptr, indices = _vertex_count(n), np.asarray(indptr), np.asarray(indices)
+        if not (indptr.shape == (n + 1,) and indptr.dtype.kind in "iu"
                 and indptr[0] == 0 and indptr[-1] == indices.size
                 and np.all(indptr[:-1] <= indptr[1:])):
             raise ValueError(f"indptr must be {n + 1} nondecreasing integers from 0 to {indices.size}")
@@ -134,6 +134,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _vertex_count(n) -> int:
+    """n as an int, refusing anything but a nonnegative Python or numpy integer."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return int(n)
+
+
 def _edge_codes(n: int, edges) -> np.ndarray:
     """The int64 code min(u, v)*n + max(u, v) of each edge, in input order.
 
@@ -166,10 +175,10 @@ def _edge_keys(n: int, codes: np.ndarray) -> np.ndarray:
 def from_edges(n: int, edges) -> Graph:
     """Build a Graph from an edge iterable, deduplicating and validating.
 
-    Loops, endpoints that are not integers in [0, n) and a negative n are rejected.
+    Loops, endpoints that are not integers in [0, n) and an n that is not a
+    nonnegative integer are rejected.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _vertex_count(n)
     keys = _edge_keys(n, _edge_codes(n, edges))
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     return Graph._from_csr(n, indptr, (keys % n).astype(np.int32))

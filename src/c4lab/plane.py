@@ -116,10 +116,6 @@ class IncidenceStructure:
     def point_degrees(self) -> np.ndarray:
         return np.bincount(self.line_idx, minlength=self.n_points)
 
-    def dual(self) -> "IncidenceStructure":
-        ptr, idx = self._transpose()
-        return IncidenceStructure._from_csr(self.n_lines, ptr.copy(), idx.copy())
-
     def line_set(self) -> set[frozenset]:
         return {frozenset(int(p) for p in self.line(i)) for i in range(self.n_lines)}
 
@@ -161,17 +157,6 @@ def triple_of_index(q: int, i: int) -> tuple[int, int, int]:
     return (1, r // q, r % q)
 
 
-def index_of_triple(q: int, a: int, b: int, c: int) -> int:
-    """Inverse of triple_of_index; the triple must already be normalized."""
-    if a == 1:
-        return 1 + q + b * q + c
-    if a == 0 and b == 1:
-        return 1 + c
-    if (a, b, c) == (0, 0, 1):
-        return 0
-    raise ValueError(f"triple ({a},{b},{c}) is not normalized")
-
-
 def _decode_triples(q: int, n: int):
     i = np.arange(n, dtype=np.int64)
     a = np.where(i > q, 1, 0)
@@ -203,8 +188,10 @@ def _normalize_to_index(spec: FieldSpec, w0, w1, w2) -> np.ndarray:
 def build_pg2(spec: FieldSpec) -> ProjectivePlane:
     """The Desarguesian projective plane of order q = spec.q.
 
-    Each line's point set is solved directly from a kernel basis of its
-    defining linear form, so construction is O(q) vectorized passes.
+    Each line's point set is solved directly from a kernel basis (u, v) of
+    its defining linear form: the points are u and v + t*u for the q field
+    elements t, one vectorized pass over all lines per t.  Every field
+    operation is a gather from the field's q*q tables.
     """
     q = spec.q
     n = q * q + q + 1
@@ -212,7 +199,8 @@ def build_pg2(spec: FieldSpec) -> ProjectivePlane:
     zero = np.zeros(n, dtype=np.int64)
     one = np.ones(n, dtype=np.int64)
 
-    # kernel basis (u, v) of a*x + b*y + c*z = 0, by leading coordinate
+    # kernel basis (u, v) of a*x + b*y + c*z = 0, by leading coordinate; u's
+    # third coordinate is always zero, so v + t*u keeps v's
     ma = a != 0
     mb = (~ma) & (b != 0)
     safe_a = np.where(ma, a, 1)
@@ -222,19 +210,16 @@ def build_pg2(spec: FieldSpec) -> ProjectivePlane:
 
     u0 = np.where(ma, spec.vmul(spec.vneg(b), inv_a), one)
     u1 = np.where(ma, one, zero)
-    u2 = zero
     v0 = np.where(ma, spec.vmul(spec.vneg(c), inv_a), zero)
     v1 = np.where(ma, zero, np.where(mb, spec.vmul(spec.vneg(c), inv_b), one))
     v2 = np.where(ma | mb, one, zero)
 
     pts = np.empty((n, q + 1), dtype=np.int32)
-    pts[:, 0] = _normalize_to_index(spec, u0, u1, u2)
+    pts[:, 0] = _normalize_to_index(spec, u0, u1, zero)
     for t in range(q):
-        tv = np.full(n, t, dtype=np.int64)
-        w0 = spec.vadd(v0, spec.vmul(tv, u0))
-        w1 = spec.vadd(v1, spec.vmul(tv, u1))
-        w2 = spec.vadd(v2, spec.vmul(tv, u2))
-        pts[:, t + 1] = _normalize_to_index(spec, w0, w1, w2)
+        w0 = spec.vadd(v0, spec.vmul(t, u0))
+        w1 = spec.vadd(v1, spec.vmul(t, u1))
+        pts[:, t + 1] = _normalize_to_index(spec, w0, w1, v2)
     pts.sort(axis=1)
 
     line_ptr = np.arange(0, (n + 1) * (q + 1), q + 1, dtype=np.int64)

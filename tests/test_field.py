@@ -9,6 +9,7 @@ from c4lab.field import (
     find_irreducible,
     is_irreducible,
     poly_powmod,
+    spec_for_order,
 )
 
 
@@ -165,3 +166,30 @@ def test_packed_gf2_route_agrees_exhaustively(k):
         for b in range(spec.q):
             assert gf2_packed_mul(a, b, spec.modulus) == spec.mul_index(a, b)
 
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_tables_match_scalar_routes_exhaustively(q):
+    spec = spec_for_order(q)
+    a, b = np.divmod(np.arange(q * q), q)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    add, mul = spec.vadd(a, b), spec.vmul(a, b)
+    assert add.tolist() == [spec.add_index(i, j) for i, j in pairs]
+    assert mul.tolist() == [spec.mul_index(i, j) for i, j in pairs]
+    elems = np.arange(q)
+    neg, inv = spec.vneg(elems), spec.vinv(elems[1:])
+    assert neg.tolist() == [spec.neg_index(i) for i in range(q)]
+    assert inv.tolist() == [spec.inv_index(i) for i in range(1, q)]
+    assert {add.dtype, mul.dtype, neg.dtype, inv.dtype} == {np.dtype(np.int64)}
+    # a column against a row broadcasts to the whole q x q table
+    assert np.array_equal(spec.vadd(elems[:, None], elems), add.reshape(q, q))
+    assert np.array_equal(spec.vmul(elems[:, None], elems), mul.reshape(q, q))
+    with pytest.raises(ZeroDivisionError):
+        spec.vinv(elems)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_gf2_multiplication_table_matches_packed_route(k):
+    spec = FieldSpec(2, k)
+    a, b = np.divmod(np.arange(spec.q**2), spec.q)
+    expected = [gf2_packed_mul(i, j, spec.modulus) for i, j in zip(a.tolist(), b.tolist())]
+    assert spec.vmul(a, b).tolist() == expected

@@ -42,6 +42,8 @@ from c4lab.graph import (
     write_edge_list,
 )
 
+from plane_helpers import dual
+
 
 def petersen() -> Graph:
     edges = []
@@ -103,7 +105,7 @@ def test_scans_do_not_depend_on_block_size(monkeypatch):
             (stats.p2, stats.up),
             claim_c4_inequality(g, range(0, 30, 2)),
             is_one_intersecting(family),
-            is_one_intersecting(family.dual()),
+            is_one_intersecting(dual(family)),
             verify_projective_plane(IncidenceStructure(21, swapped)).witness,
         )
 
@@ -293,6 +295,17 @@ class TestFromEdges:
         with pytest.raises(ValueError, match="n must be nonnegative"):
             from_edges(-1, [])
         assert from_edges(0, []).indptr.tolist() == [0]
+
+    @pytest.mark.parametrize("n,pattern", [
+        (3.5, r"^n must be an integer, got 3\.5$"),
+        (-1, r"^n must be nonnegative$"),
+        ("4", r"^n must be an integer, got '4'$"),
+    ])
+    def test_rejects_vertex_count_that_is_not_a_nonnegative_integer(self, n, pattern):
+        # 3.5 once built a graph with n = 3 and a 5-entry indptr
+        with pytest.raises(ValueError, match=pattern):
+            from_edges(n, [(0, 1), (1, 2)])
+        assert from_edges(np.int32(3), [(0, 1), (1, 2)]).indptr.tolist() == [0, 1, 3, 4]
 
     def test_rejects_fractional_vertices(self):
         with pytest.raises(ValueError, match=r"^vertex 0\.5 is not an integer$"):
@@ -564,6 +577,17 @@ class TestCountC4:
         assert len(messages) == len(cases)
         for message, (*_, pattern) in zip(messages, cases):
             assert re.search(pattern, message), message
+
+    @pytest.mark.parametrize("n,pattern", [
+        (3.5, r"^n must be an integer, got 3\.5$"),
+        (-1, r"^n must be nonnegative$"),
+        ("4", r"^n must be an integer, got '4'$"),
+    ])
+    def test_vertex_count_that_is_not_a_nonnegative_integer_is_refused(self, n, pattern):
+        # 3.5 was once truncated to 3
+        with pytest.raises(ValueError, match=pattern):
+            Graph(n, np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]))
+        assert same_csr(Graph(np.uint8(3), [0, 1, 3, 4], [1, 0, 2, 1]), from_edges(3, [(0, 1), (1, 2)]))
 
     @pytest.mark.parametrize("kind", MALFORMED_CSRS)
     def test_malformed_csr_is_refused(self, kind):

@@ -12,7 +12,7 @@ import c4lab.polarity
 from c4lab.cli import cli_dispatch
 from c4lab.field import FieldSpec, spec_for_order
 from c4lab.graph import count_c4, from_edges
-from c4lab.plane import ProjectivePlane, build_pg2, index_of_triple, triple_of_index
+from c4lab.plane import ProjectivePlane, build_pg2, triple_of_index
 from c4lab.polarity import (
     Polarity,
     PolarityVerdict,
@@ -25,6 +25,8 @@ from c4lab.polarity import (
     write_polarity,
 )
 from c4lab.supersat import er_graph
+
+from plane_helpers import index_of_triple
 
 
 def er(q: int):
